@@ -7,8 +7,9 @@ subpackage provides a static equivalent:
 
 * :mod:`repro.html.dom` — a lightweight DOM: :class:`Element`, :class:`TextNode`
   and :class:`Document` with traversal and query helpers.
-* :mod:`repro.html.parser` — an error-tolerant HTML parser built on the
-  standard library's ``html.parser`` that produces that DOM.
+* :mod:`repro.html.parser` — an error-tolerant HTML parser: one
+  compiled-regex scanner feeds one tree-building loop, and malformed markup
+  (stray ``<``, unmatched end tags, missing ``<body>``) never raises.
 * :mod:`repro.html.visibility` — visible-text extraction honouring
   ``<script>``/``<style>``, ``hidden``, ``aria-hidden`` and inline
   ``display:none`` / ``visibility:hidden`` styles.
@@ -20,8 +21,8 @@ subpackage provides a static equivalent:
   visible-text and accessible-name results) that the audit and extraction
   layers consult instead of re-traversing the tree, plus the
   :class:`~repro.html.index.NaiveDocumentAccessor` reference path.
-* :mod:`repro.html.selectors` — a small CSS-like selector engine used by the
-  audit rules.
+* :mod:`repro.html.selectors` — a small CSS-like selector engine.  Nothing
+  in the pipeline imports it; the audit rules select from the index.
 """
 
 from repro.html.dom import Document, Element, Node, TextNode

@@ -67,8 +67,6 @@ class Element(Node):
     def __init__(self, tag: str, attributes: Mapping[str, str] | None = None) -> None:
         super().__init__()
         self.tag = tag.lower()
-        # Attribute-less elements dominate parsed trees; skip the lowercasing
-        # comprehension (and the intermediate mapping) for them.
         self.attributes: dict[str, str] = (
             {k.lower(): v for k, v in attributes.items()} if attributes else {})
         self.children: list[Node] = []
@@ -79,6 +77,19 @@ class Element(Node):
         #: without being told explicitly (generators mutate trees they later
         #: serve).
         self.tree_version: int = 0
+
+    @classmethod
+    def _parsed(cls, tag: str, attributes: dict[str, str], parent: "Element") -> "Element":
+        """Parser constructor: names are already lowercase, and the child is
+        appended to ``parent`` without a version bump (see :meth:`_append_raw`)."""
+        element = cls.__new__(cls)
+        element.tag = tag
+        element.attributes = attributes
+        element.children = []
+        element.tree_version = 0
+        element.parent = parent
+        parent.children.append(element)
+        return element
 
     def _mark_mutated(self) -> None:
         # Tight parent-chain walk (self is always an Element): O(depth) per

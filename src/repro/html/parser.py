@@ -1,25 +1,35 @@
 """Error-tolerant HTML parsing into the :mod:`repro.html.dom` model.
 
-Built on the standard library's ``html.parser.HTMLParser``.  Real-world pages
-are messy — unclosed tags, stray end tags, implicit ``<html>``/``<body>`` —
-so the builder follows a small subset of the HTML5 tree-construction rules:
+One precompiled regex splits the markup into tokens and one loop builds the
+tree.  Each match is one token:
 
-* missing ``<html>``, ``<head>`` and ``<body>`` elements are synthesised;
-* an end tag closes the nearest matching open element, implicitly closing
-  anything opened after it;
-* an end tag with no matching open element is ignored;
-* ``<p>`` and ``<li>`` elements are implicitly closed by a new sibling of the
-  same kind, the most common source of mis-nesting on the pages this study
-  crawls;
-* void elements (``<img>``, ``<br>``, ...) never stay on the open stack.
+* a text run; :func:`html.unescape` runs only on runs containing ``&``;
+* a start tag with its attribute source (split by a second regex into
+  lowercased names and quoted, bare or missing values), possibly ``/>``;
+* a ``<script>``/``<style>`` start tag together with its raw content, taken
+  verbatim up to ``</script``/``</style`` (any case) or the end of input;
+* an end tag ``</name …>``;
+* a comment (ends at ``-->``), ``<!…>``, ``<?…>`` or ``</`` + non-letter
+  (each ends at ``>``) — dropped, and running to the end of input when
+  unterminated;
+* any other ``<`` is text: a bare ``<``, or a start tag that never parses,
+  through its next ``>``.
 
-This is not a full HTML5 parser, but it is deterministic, dependency-free and
-robust enough for both the synthetic corpus and hand-written fixtures.
+Tags are read the way the standard library's ``html.parser`` reads them; a
+stdlib-backed oracle in the test suite pins that.  Tree building follows a
+small subset of the HTML5 rules: missing ``<html>``/``<head>``/``<body>`` are
+synthesised and ``<html>`` attributes merge onto the root; an end tag closes
+the nearest matching open element and everything opened after it, and is
+ignored when nothing matches; a ``<p>``, ``<li>`` (or other
+:data:`_SELF_CLOSING_SIBLINGS`) closes an open sibling of its own kind; void
+elements and ``<tag/>`` never stay open; adjacent text runs coalesce.  The
+parser is deterministic, dependency-free and never raises.
 """
 
 from __future__ import annotations
 
-from html.parser import HTMLParser
+import re
+from html import unescape
 
 from repro import perf
 from repro.html.dom import Document, Element, TextNode, VOID_TAGS
@@ -28,109 +38,32 @@ from repro.html.dom import Document, Element, TextNode, VOID_TAGS
 #: Tags that implicitly close a previous unclosed sibling of the same tag.
 _SELF_CLOSING_SIBLINGS = frozenset({"p", "li", "option", "tr", "td", "th", "dt", "dd"})
 
-#: Raw-text elements whose content must not be interpreted as markup.
-_RAW_TEXT_TAGS = frozenset({"script", "style"})
+#: Head-only metadata that ``_ensure_head_and_body`` moves into ``<head>``.
+_HEAD_ONLY_TAGS = frozenset({"title", "meta", "link", "base", "style"})
 
+#: One attribute: a name, then optionally ``=`` and a single-quoted,
+#: double-quoted or bare value.  A name must follow whitespace, ``/`` or a
+#: closing quote.
+_ATTRIBUTE = r"""(?<![^'"\s/])([^\s/>][^\s/=>]*)(?:\s*=+\s*(?:'([^']*)'|"([^"]*)"|(?!['"])([^>\s]*)))?"""
 
-class _TreeBuilder(HTMLParser):
-    """Internal ``HTMLParser`` subclass that builds an Element tree."""
+_ATTRIBUTE_PAIRS = re.compile(_ATTRIBUTE).findall
 
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.root = Element("html")
-        self._stack: list[Element] = [self.root]
-        self._saw_explicit_html = False
-
-    # -- helpers -----------------------------------------------------------
-
-    @property
-    def _current(self) -> Element:
-        return self._stack[-1]
-
-    def _open(self, element: Element) -> None:
-        # _append_raw throughout the builder: no Document exists while the
-        # tree is under construction, so version bumps would be pure cost.
-        self._current._append_raw(element)
-        if element.tag not in VOID_TAGS:
-            self._stack.append(element)
-
-    def _close_until(self, tag: str) -> bool:
-        """Close open elements up to and including ``tag``.
-
-        Returns ``False`` (and closes nothing) when ``tag`` is not open.
-        """
-        for index in range(len(self._stack) - 1, 0, -1):
-            if self._stack[index].tag == tag:
-                del self._stack[index:]
-                return True
-        return False
-
-    # -- HTMLParser callbacks ------------------------------------------------
-
-    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        tag = tag.lower()
-        # Attribute-less tags (the common case on text-heavy pages) skip the
-        # dict build entirely; Element treats ``None`` as "no attributes".
-        attributes = ({name: (value if value is not None else "") for name, value in attrs}
-                      if attrs else None)
-
-        if tag == "html":
-            # Merge attributes (notably ``lang``) onto the synthesised root
-            # instead of nesting a second <html> element.
-            self._saw_explicit_html = True
-            if attributes:
-                for name, value in attributes.items():
-                    self.root.set(name, value)
-            return
-
-        if tag in _SELF_CLOSING_SIBLINGS and self._current.tag == tag:
-            self._stack.pop()
-
-        self._open(Element(tag, attributes))
-
-    def handle_startendtag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        tag = tag.lower()
-        if tag == "html":
-            return
-        attributes = ({name: (value if value is not None else "") for name, value in attrs}
-                      if attrs else None)
-        element = Element(tag, attributes)
-        self._current._append_raw(element)
-
-    def handle_endtag(self, tag: str) -> None:
-        tag = tag.lower()
-        if tag == "html":
-            return
-        if tag in VOID_TAGS:
-            return
-        self._close_until(tag)
-
-    def handle_data(self, data: str) -> None:
-        if not data:
-            return
-        # Inside <script>/<style>, keep the text attached (so that the
-        # visibility rules can skip it) but never interpret it as markup;
-        # HTMLParser already handles CDATA content modes for these tags.
-        #
-        # Adjacent character-data runs (e.g. text split around a dropped
-        # comment or an unconverted entity) coalesce into the previous text
-        # node: all text consumers concatenate sibling text nodes without a
-        # separator, so merging is byte-identical while keeping the tree (and
-        # the per-node bookkeeping downstream) smaller.
-        children = self._current.children
-        if children:
-            last = children[-1]
-            if type(last) is TextNode:
-                last.text += data
-                return
-        self._current._append_raw(TextNode(data))
-
-    def handle_comment(self, data: str) -> None:
-        # Comments carry no accessibility signal; drop them.
-        return
-
-    def handle_decl(self, decl: str) -> None:
-        return
+#: The token scanner.  Inside a start tag the attribute pattern recurs with
+#: its groups made non-capturing, wrapped in ``(?=(...))\4``: that makes the
+#: repetition atomic, so a tag that never closes is rejected in linear time
+#: instead of by backtracking through every way to split its attributes.
+_TOKEN = re.compile(
+    r"""([^<]+)"""                                                     # 1 text
+    r"""|<(?:((?i:script|style))|([a-zA-Z][^\t\n\r\f />\x00]*))"""     # 2 raw-text tag, 3 tag
+    r"""(?![^\t\n\r\f />\x00])"""
+    r"""(?=((?:\s|/(?!>)|""" + re.sub(r"\((?!\?)", "(?:", _ATTRIBUTE) + r""")*))\4"""  # 4 attributes
+    r"""(/)?>"""                                                       # 5 self-closing
+    r"""(?(5)|(?(2)(.*?)(?:</(?i:\2)(?=[\t\n\r\f />])[^>]*>|\Z)))"""   # 6 raw text
+    r"""|</([a-zA-Z][^\t\n\r\f />\x00]*)[^>]*>"""                      # 7 end tag
+    r"""|<!--(?:-?>|.*?(?:--!?>|\Z))"""                                # comment
+    r"""|<(?:[!?]|/(?![a-zA-Z]))[^>]*>?"""                             # declaration, PI
+    r"""|(<(?:[a-zA-Z][^>]*>)?)""",                                    # 8 other '<'
+    re.DOTALL)
 
 
 def _ensure_head_and_body(root: Element) -> None:
@@ -140,7 +73,6 @@ def _ensure_head_and_body(root: Element) -> None:
     it is head-only metadata (``<title>``, ``<meta>``, ``<link>``, ...), which
     goes into ``<head>``.
     """
-    head_only = {"title", "meta", "link", "base", "style"}
     head = next((el for el in root.child_elements() if el.tag == "head"), None)
     body = next((el for el in root.child_elements() if el.tag == "body"), None)
 
@@ -151,17 +83,70 @@ def _ensure_head_and_body(root: Element) -> None:
         body = Element("body")
         body.parent = root
 
-    reassigned: list = []
     for child in root.children:
         if child is head or child is body:
             continue
-        if isinstance(child, Element) and child.tag in head_only:
+        if isinstance(child, Element) and child.tag in _HEAD_ONLY_TAGS:
             head._append_raw(child)
         else:
             body._append_raw(child)
-        reassigned.append(child)
 
     root.children = [head, body]
+
+
+def _attributes(source: str) -> dict[str, str]:
+    attributes: dict[str, str] = {}
+    for name, single, double, bare in _ATTRIBUTE_PAIRS(source):
+        value = single or double or bare
+        if "&" in value:
+            value = unescape(value)
+        attributes[name.lower()] = value
+    return attributes
+
+
+def _build(markup: str) -> Element:
+    """Tokenize ``markup`` and build the element tree under a synthetic root."""
+    new_element = Element._parsed
+    root = Element("html")
+    stack = [root]
+    current = root
+    for (text, raw_tag, tag, attrs, slash, raw_text, end_tag,
+         other) in _TOKEN.findall(markup):
+        if text or other:
+            text = text or other
+            if "&" in text:
+                text = unescape(text)
+            children = current.children
+            if children and type(children[-1]) is TextNode:
+                children[-1].text += text
+            else:
+                current._append_raw(TextNode(text))
+        elif tag or raw_tag:
+            tag = (tag or raw_tag).lower()
+            attributes = _attributes(attrs) if attrs else {}
+            if tag == "html":
+                if not slash:
+                    for name, value in attributes.items():
+                        root.set(name, value)
+                continue
+            if not slash and tag in _SELF_CLOSING_SIBLINGS and current.tag == tag:
+                stack.pop()
+                current = stack[-1]
+            element = new_element(tag, attributes, current)
+            if raw_text:
+                # Raw text arrives with its start tag: the element is complete.
+                element._append_raw(TextNode(raw_text))
+            elif not (slash or raw_tag or tag in VOID_TAGS):
+                stack.append(element)
+                current = element
+        elif end_tag:
+            end_tag = end_tag.lower()
+            for index in range(len(stack) - 1, 0, -1):
+                if stack[index].tag == end_tag:
+                    del stack[index:]
+                    current = stack[-1]
+                    break
+    return root
 
 
 def parse_html(markup: str, url: str | None = None) -> Document:
@@ -178,8 +163,6 @@ def parse_html(markup: str, url: str | None = None) -> Document:
     with perf.stage("parse"):
         perf.count("parse.documents")
         perf.count("parse.chars", len(markup))
-        builder = _TreeBuilder()
-        builder.feed(markup)
-        builder.close()
-        _ensure_head_and_body(builder.root)
-        return Document(root=builder.root, url=url)
+        root = _build(markup)
+        _ensure_head_and_body(root)
+        return Document(root=root, url=url)

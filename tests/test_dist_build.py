@@ -100,6 +100,12 @@ def test_sigkilled_worker_lease_is_reissued_and_output_identical(tmp_path):
     re-executed (replaying the dead worker's fetches from the shared
     cache), and the final JSONL is byte-identical to an unharmed run.
 
+    The order is fixed by construction, not by timing: the coordinator
+    spawns no workers, so the doomed worker is the only claimant and its
+    first lease is on the first window of the first country, which the
+    merge must await.  The healthy workers start only after the SIGKILL,
+    so that window can complete only through a reaped, re-issued lease.
+
     The run is traced throughout, so this also pins the observability
     acceptance bar: one span tree reassembles across the coordinator and
     the surviving workers, kill and re-issue notwithstanding."""
@@ -123,7 +129,8 @@ def test_sigkilled_worker_lease_is_reissued_and_output_identical(tmp_path):
         encoding="utf-8")
     doomed = subprocess.Popen([sys.executable, str(doomed_script),
                                str(queue_dir)], env=os.environ.copy())
-    coordinator = Coordinator(config, queue_dir, out, workers=2,
+    healthy: list[subprocess.Popen] = []
+    coordinator = Coordinator(config, queue_dir, out, workers=0,
                               lease_timeout_s=1.0, poll_interval_s=0.02)
     outcome: dict = {}
 
@@ -133,30 +140,42 @@ def test_sigkilled_worker_lease_is_reissued_and_output_identical(tmp_path):
         except BaseException as error:  # surfaced after the join
             outcome["error"] = error
 
-    thread = threading.Thread(target=run)
+    # A daemon: if the test fails before any healthy worker starts, the
+    # coordinator waits on the first window forever and must not keep
+    # the test process alive.
+    thread = threading.Thread(target=run, daemon=True)
     thread.start()
     try:
         # Wait until the doomed worker holds a lease, then SIGKILL it.
         queue = WorkQueue(queue_dir)
+        first_window = None
         deadline = time.monotonic() + 60.0
-        killed = False
-        while time.monotonic() < deadline:
+        while first_window is None and time.monotonic() < deadline:
             for lease_path in list(queue.leases_dir.glob("*.json")) \
                     if queue.leases_dir.is_dir() else []:
                 payload = read_json(lease_path)
                 if payload and payload.get("worker", "").endswith(f":{doomed.pid}"):
                     os.kill(doomed.pid, signal.SIGKILL)
-                    killed = True
+                    first_window = lease_path.stem
                     break
-            if killed:
-                break
-            time.sleep(0.02)
-        assert killed, "doomed worker never claimed a window"
+            else:
+                time.sleep(0.02)
+        assert first_window is not None, "doomed worker never claimed a window"
         doomed.wait(timeout=10.0)
+        assert first_window == queue.load_windows()[0].window_id
+        for _ in range(2):
+            healthy.append(subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "dist-build",
+                 "--role", "worker", "--queue-dir", str(queue_dir)],
+                stdout=subprocess.DEVNULL, env=os.environ.copy()))
+        thread.join(timeout=120.0)
+        for proc in healthy:
+            assert proc.wait(timeout=30.0) == 0
     finally:
-        if doomed.poll() is None:
-            doomed.kill()
-            doomed.wait()
+        for proc in [doomed, *healthy]:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
         thread.join(timeout=120.0)
     assert not thread.is_alive()
     assert "error" not in outcome, outcome.get("error")
