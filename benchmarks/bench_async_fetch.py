@@ -2,14 +2,13 @@
 
 The paper's crawl spends most of its wall-clock waiting on the network: each
 of the ~120,000 origins costs a round-trip through a VPN exit.  The async
-batched fetch layer (:class:`repro.crawler.fetcher.AsyncFetcher` over a
-thread-offloading :class:`~repro.crawler.fetcher.SyncTransportAdapter`)
-overlaps those waits by keeping up to ``max_in_flight`` requests in flight.
+fetch layer (:meth:`repro.crawler.fetcher.Fetcher.fetch_many`) overlaps
+those waits by keeping up to ``max_in_flight`` requests in flight.
 
 This harness makes the latency *real*: it wraps the simulated transport so
-every send genuinely sleeps its drawn latency (scaled down to keep the
-benchmark fast), then fetches the same origins sequentially and batched and
-reports records-per-second for both.  The batched walk must beat — and in
+every send genuinely awaits its drawn latency (scaled down to keep the
+benchmark fast), then fetches the same origins sequentially
+(``max_in_flight=1``) and batched and reports records-per-second for both.  The batched walk must beat — and in
 practice approaches ``max_in_flight`` times — the sequential one, while
 returning exactly the same responses; both properties are asserted.
 
@@ -25,12 +24,7 @@ import os
 import random
 import time
 
-from repro.crawler.fetcher import (
-    AsyncFetcher,
-    Fetcher,
-    SimulatedTransport,
-    SyncTransportAdapter,
-)
+from repro.crawler.fetcher import Fetcher, SimulatedTransport
 from repro.crawler.http import Request, Response
 from repro.webgen.profiles import get_profile
 from repro.webgen.server import SyntheticWeb
@@ -55,8 +49,8 @@ BENCHMARK_SEED = 2025
 TARGET_SPEEDUP = 2.0
 
 
-class BlockingLatencyTransport:
-    """Simulated transport whose drawn latency is genuinely slept.
+class SleepingLatencyTransport:
+    """Simulated transport whose drawn latency is genuinely awaited.
 
     Turns the virtual ``elapsed_ms`` of :class:`SimulatedTransport` into real
     wall-clock (scaled by ``sleep_scale``), which is the workload shape a
@@ -68,14 +62,14 @@ class BlockingLatencyTransport:
         self.inner = inner
         self.sleep_scale = sleep_scale
 
-    def send(self, request: Request) -> Response:
-        response = self.inner.send(request)
-        time.sleep(response.elapsed_ms / 1000.0 * self.sleep_scale)
+    async def send(self, request: Request) -> Response:
+        response = await self.inner.send(request)
+        await asyncio.sleep(response.elapsed_ms / 1000.0 * self.sleep_scale)
         return response
 
 
-def _transport(web: SyntheticWeb) -> BlockingLatencyTransport:
-    return BlockingLatencyTransport(SimulatedTransport(
+def _transport(web: SyntheticWeb) -> SleepingLatencyTransport:
+    return SleepingLatencyTransport(SimulatedTransport(
         web, latency_ms=LATENCY_MS,
         rng_factory=lambda host: random.Random(
             stable_seed(BENCHMARK_SEED, "transport", "bd", host))))
@@ -86,17 +80,15 @@ def test_batched_fetch_throughput(reporter) -> None:
     web = SyntheticWeb(sites)
     urls = [f"https://{site.domain}/" for site in sites]
 
-    sequential_fetcher = Fetcher(_transport(web))
-    started = time.perf_counter()
-    sequential = [sequential_fetcher.fetch(url, client_country="bd", via_vpn=True)
-                  for url in urls]
-    sequential_s = time.perf_counter() - started
+    def fetch_all(max_in_flight: int) -> tuple[list[Response], float]:
+        fetcher = Fetcher(_transport(web))
+        started = time.perf_counter()
+        responses = asyncio.run(fetcher.fetch_many(
+            urls, client_country="bd", via_vpn=True, max_in_flight=max_in_flight))
+        return responses, time.perf_counter() - started
 
-    batched_fetcher = AsyncFetcher(SyncTransportAdapter(_transport(web), blocking=True))
-    started = time.perf_counter()
-    batched = asyncio.run(batched_fetcher.fetch_many(
-        urls, client_country="bd", via_vpn=True, max_in_flight=MAX_IN_FLIGHT))
-    batched_s = time.perf_counter() - started
+    sequential, sequential_s = fetch_all(1)
+    batched, batched_s = fetch_all(MAX_IN_FLIGHT)
 
     sequential_rps = len(urls) / sequential_s
     batched_rps = len(urls) / batched_s

@@ -23,7 +23,7 @@ import asyncio
 import os
 import time
 
-from repro.crawler.fetcher import AsyncFetcher, Fetcher, SimulatedTransport
+from repro.crawler.fetcher import Fetcher, SimulatedTransport
 from repro.crawler.metrics import TransportMetrics
 from repro.crawler.transport import HttpAsyncTransport, build_transport_stack
 from repro.webgen.profiles import get_profile
@@ -39,7 +39,7 @@ BENCHMARK_SEED = 2025
 TARGET_SPEEDUP = 1.0
 
 
-def _fetch_all(fetcher: AsyncFetcher, urls: list[str], max_in_flight: int):
+def _fetch_all(fetcher: Fetcher, urls: list[str], max_in_flight: int):
     return asyncio.run(fetcher.fetch_many(urls, client_country="bd",
                                           via_vpn=True,
                                           max_in_flight=max_in_flight))
@@ -51,15 +51,13 @@ def test_http_transport_throughput(reporter, tmp_path) -> None:
     web = SyntheticWeb(sites)
     urls = [f"https://{site.domain}/" for site in sites]
     # The parity reference: the simulated fetch walk (same redirect policy).
-    simulated = Fetcher(SimulatedTransport(web))
-    reference = {site.domain: simulated.fetch(f"https://{site.domain}/",
-                                              client_country="bd", via_vpn=True)
-                 for site in sites}
+    simulated = _fetch_all(Fetcher(SimulatedTransport(web)), urls, max_in_flight=1)
+    reference = {site.domain: response for site, response in zip(sites, simulated)}
 
     with LocalSiteServer(web) as server:
         metrics = TransportMetrics()
         transport = HttpAsyncTransport(gateway=server.gateway, metrics=metrics)
-        fetcher = AsyncFetcher(transport)
+        fetcher = Fetcher(transport)
         try:
             started = time.perf_counter()
             sequential = _fetch_all(fetcher, urls, max_in_flight=1)
@@ -74,7 +72,7 @@ def test_http_transport_throughput(reporter, tmp_path) -> None:
         stack = build_transport_stack(
             HttpAsyncTransport(gateway=server.gateway), cache_dir=tmp_path)
         try:
-            cached_fetcher = AsyncFetcher(stack.transport)
+            cached_fetcher = Fetcher(stack.transport)
             _fetch_all(cached_fetcher, urls, MAX_IN_FLIGHT)  # warm the cache
             network_before = stack.metrics.network_requests
             started = time.perf_counter()

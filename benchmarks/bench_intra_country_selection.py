@@ -10,7 +10,7 @@ evaluate speculatively, while a rank-ordered committer keeps the outcome
 byte-identical to the sequential walk.
 
 This harness makes the crawl latency *real*: it wraps the simulated
-transport so every send genuinely sleeps its drawn latency (scaled down to
+transport so every send genuinely awaits its drawn latency (scaled down to
 keep the benchmark fast), then selects the same single-country quota
 sequentially and sub-sharded over a 4-worker thread pool, reporting
 records-per-second for both.  The sub-sharded walk must beat — and in
@@ -25,6 +25,7 @@ wall-clock gate) — outcome parity is always asserted.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import random
 import time
@@ -64,8 +65,8 @@ BENCHMARK_SEED = 2025
 TARGET_SPEEDUP = 2.0
 
 
-class BlockingLatencyTransport:
-    """Simulated transport whose drawn latency is genuinely slept.
+class SleepingLatencyTransport:
+    """Simulated transport whose drawn latency is genuinely awaited.
 
     Turns the virtual ``elapsed_ms`` of :class:`SimulatedTransport` into real
     wall-clock (scaled by ``sleep_scale``) — the workload shape of a real
@@ -76,14 +77,14 @@ class BlockingLatencyTransport:
         self.inner = inner
         self.sleep_scale = sleep_scale
 
-    def send(self, request: Request) -> Response:
-        response = self.inner.send(request)
-        time.sleep(response.elapsed_ms / 1000.0 * self.sleep_scale)
+    async def send(self, request: Request) -> Response:
+        response = await self.inner.send(request)
+        await asyncio.sleep(response.elapsed_ms / 1000.0 * self.sleep_scale)
         return response
 
 
 def _crawler(web: SyntheticWeb) -> LangCruxCrawler:
-    transport = BlockingLatencyTransport(SimulatedTransport(
+    transport = SleepingLatencyTransport(SimulatedTransport(
         web, latency_ms=LATENCY_MS,
         rng_factory=lambda host: random.Random(
             stable_seed(BENCHMARK_SEED, "transport", "bd", host))))

@@ -14,6 +14,7 @@ Run with::
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 from repro.core.extraction import extract_page
@@ -29,12 +30,12 @@ from repro.webgen.sitegen import SiteGenerator
 def crawl_homepages(web: SyntheticWeb, domains: list[str], vantage: VantagePoint):
     """Fetch each homepage from the given vantage and measure its language."""
     fetcher = Fetcher(SimulatedTransport(web, rng=random.Random(1)))
+    responses = asyncio.run(fetcher.fetch_many(
+        [URL.parse(f"https://{domain}/") for domain in domains],
+        client_country=vantage.country_code, via_vpn=vantage.via_vpn, max_in_flight=1))
     detector = ScriptDetector("th")
     measurements = []
-    for domain in domains:
-        response = fetcher.fetch(URL.parse(f"https://{domain}/"),
-                                 client_country=vantage.country_code,
-                                 via_vpn=vantage.via_vpn)
+    for domain, response in zip(domains, responses):
         if not response.ok:
             measurements.append((domain, None, response.status))
             continue

@@ -99,7 +99,7 @@ from repro.core.site_selection import (
     SiteSelector,
 )
 from repro.crawler.crawler import CrawlerConfig, LangCruxCrawler
-from repro.crawler.fetcher import Fetcher, FetcherConfig, SimulatedTransport, SyncTransportAdapter
+from repro.crawler.fetcher import Fetcher, FetcherConfig, SimulatedTransport
 from repro.crawler.metrics import TransportMetrics
 from repro.crawler.records import CrawlRecord
 from repro.crawler.session import CrawlSession
@@ -333,13 +333,20 @@ def _host_transport_rng(seed: int, country_code: str, host: str) -> random.Rando
     return random.Random(stable_seed(seed, "transport", country_code, host))
 
 
+def _simulated_transport(config: PipelineConfig, country_code: str,
+                         web: SyntheticWeb) -> SimulatedTransport:
+    return SimulatedTransport(
+        web, failure_rate=config.transport_failure_rate,
+        rng_factory=functools.partial(_host_transport_rng, config.seed, country_code))
+
+
 def transport_stack_for_country(config: PipelineConfig, country_code: str,
                                 web: SyntheticWeb) -> TransportStack | None:
     """The country shard's transport stack, or ``None`` for the fast path.
 
     A plain simulated run — no HTTP transport, no crawl cache, no
-    politeness knobs — skips stack assembly entirely and keeps the
-    historical direct-transport wiring.  Anything else composes the
+    politeness knobs — skips stack assembly entirely and fetches straight
+    through the simulated transport.  Anything else composes the
     :mod:`repro.crawler.transport` layers around the configured base.
     """
     if config.transport not in TRANSPORT_KINDS:
@@ -360,9 +367,7 @@ def transport_stack_for_country(config: PipelineConfig, country_code: str,
         # byte-identical with and without the stack.
         retry = RetryPolicy(backoff_base_s=config.retry_backoff_s)
     else:
-        base = SyncTransportAdapter(SimulatedTransport(
-            web, failure_rate=config.transport_failure_rate,
-            rng_factory=rng_factory))
+        base = _simulated_transport(config, country_code, web)
         retry = None
     return build_transport_stack(
         base,
@@ -389,36 +394,25 @@ def crawler_for_country(config: PipelineConfig, country_code: str,
     selection walk being byte-identical to the sequential one.
 
     With transport extras configured (``transport="http"``, a crawl cache,
-    politeness knobs) the session carries an assembled
-    :class:`~repro.crawler.transport.TransportStack`: the async fetch path
-    sends through it natively, the blocking path through its sync facade,
-    and :meth:`~repro.crawler.session.CrawlSession.close` releases it.
+    politeness knobs) the fetcher sends through an assembled
+    :class:`~repro.crawler.transport.TransportStack`, which
+    :meth:`~repro.crawler.session.CrawlSession.close` releases; otherwise
+    straight through the simulated transport.
     """
     if vantage is None:
         vantage = vantage_for_country(config, country_code)
     stack = transport_stack_for_country(config, country_code, web)
-    if stack is not None:
-        # When the stack carries its own retry layer (HTTP mode), it is the
-        # single retry authority: the fetcher's identical policy on top
-        # would multiply attempts against persistently failing origins
-        # (4 wire tries become 16) and skew the retry counters.
-        fetcher_config = FetcherConfig(max_retries=0) \
-            if config.transport == "http" else FetcherConfig()
-        fetcher = Fetcher(stack.sync_transport(), fetcher_config)
-        session = CrawlSession(fetcher=fetcher, vantage=vantage,
-                               respect_robots=config.respect_robots,
-                               async_transport=stack.transport,
-                               transport_stack=stack)
-    else:
-        transport = SimulatedTransport(
-            web,
-            failure_rate=config.transport_failure_rate,
-            rng_factory=functools.partial(_host_transport_rng, config.seed,
-                                          country_code),
-        )
-        fetcher = Fetcher(transport, FetcherConfig())
-        session = CrawlSession(fetcher=fetcher, vantage=vantage,
-                               respect_robots=config.respect_robots)
+    transport = stack.transport if stack is not None \
+        else _simulated_transport(config, country_code, web)
+    # When the stack carries its own retry layer (HTTP mode), it is the
+    # single retry authority: the fetcher's identical policy on top would
+    # multiply attempts against persistently failing origins (4 wire tries
+    # become 16) and skew the retry counters.
+    fetcher_config = FetcherConfig(max_retries=0) \
+        if config.transport == "http" else FetcherConfig()
+    session = CrawlSession(fetcher=Fetcher(transport, fetcher_config), vantage=vantage,
+                           respect_robots=config.respect_robots,
+                           transport_stack=stack)
     crawler_config = CrawlerConfig(
         max_pages_per_site=config.max_pages_per_site,
         follow_links=config.max_pages_per_site > 1,

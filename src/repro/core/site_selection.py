@@ -27,12 +27,12 @@ The walk is split into two halves with different freedom to parallelise:
   uncounted, so the selected set, every rejection counter and the resulting
   records are byte-identical to the strictly sequential walk.
 
-Three dispatch modes share those halves:
+Two dispatch modes share those halves:
 
-* the sequential walk (``max_in_flight == 1``, no executor) — evaluate and
-  commit one candidate at a time, the reference semantics;
-* the batched walk (``max_in_flight > 1``) — prefetch up to
-  ``max_in_flight`` candidates on one event loop, commit in rank order;
+* the **windowed walk** (no ``sub_shard_size``) — evaluate up to
+  ``max_in_flight`` candidates at once on one event loop, commit them in
+  rank order, repeat; ``max_in_flight == 1`` is the strictly sequential
+  reference walk;
 * the **sub-sharded walk** (``sub_shard_size`` + an executor from
   :mod:`repro.core.executor`) — chunk the ranking into fixed-size
   sub-shards, evaluate whole sub-shards speculatively on executor workers,
@@ -41,6 +41,12 @@ Three dispatch modes share those halves:
   flag) or cancelled when the consumer stops iterating; results that still
   arrive are discarded by the committer.  This is what lets a run dominated
   by one large country use every worker.
+
+The crawl layer below is ``async`` throughout.  Each unit of work enters
+the event loop exactly once: :meth:`SiteSelector.select` once per country
+shard, :meth:`SiteSelector.evaluate_chunk` (and so
+:meth:`SiteSelector.evaluate_window`) once per sub-shard or distributed
+window.
 
 Evaluations also carry the parsed :class:`~repro.html.dom.Document` of each
 page (with its cached :class:`~repro.html.index.DocumentIndex` built while
@@ -58,7 +64,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from repro import perf
 from repro.core.executor import PipelineExecutor, plan_chunks
 from repro.crawler.crawler import LangCruxCrawler
-from repro.crawler.fetcher import run_coroutine
+from repro.crawler.fetcher import gather_bounded
 from repro.crawler.records import CrawlRecord
 from repro.html.dom import Document
 from repro.html.index import ensure_index
@@ -236,36 +242,32 @@ class SiteSelector:
         return CandidateEvaluation(entry=entry, record=record, native_share=share,
                                    documents=documents)
 
-    def evaluate(self, entry: CruxEntry,
-                 crawler: LangCruxCrawler | None = None) -> CandidateEvaluation:
+    async def evaluate(self, entry: CruxEntry,
+                       crawler: LangCruxCrawler | None = None) -> CandidateEvaluation:
         """Crawl and measure one candidate speculatively."""
         crawler = crawler or self.crawler
-        return self._evaluation(entry, crawler.crawl_origin(entry, self.language_code))
+        return self._evaluation(entry, await crawler.crawl_origin(entry, self.language_code))
 
-    def _chunk_crawler(self) -> LangCruxCrawler:
-        """The crawler one chunk evaluates on (chunk-local with a factory)."""
-        return self.crawler_factory() if self.crawler_factory is not None else self.crawler
+    async def _evaluate_all(self, entries: list[CruxEntry], crawler: LangCruxCrawler,
+                            max_in_flight: int) -> list[CandidateEvaluation]:
+        """Evaluate ``entries`` with up to ``max_in_flight`` in flight, in entry order."""
+        return await gather_bounded(lambda entry: self.evaluate(entry, crawler), entries,
+                                    max_in_flight=max_in_flight)
 
     def evaluate_chunk(self, entries: Sequence[CruxEntry] | Iterable[CruxEntry], *,
                        max_in_flight: int = 1) -> list[CandidateEvaluation]:
         """Speculatively evaluate a rank-contiguous chunk of candidates.
 
-        The chunk is crawled through a chunk-local crawler when a
-        ``crawler_factory`` is configured, batched-async when
-        ``max_in_flight > 1``.  Results come back in entry order.
+        The chunk is crawled on one event loop, through a chunk-local
+        crawler when a ``crawler_factory`` is configured, with up to
+        ``max_in_flight`` candidates in flight.  Results come back in entry
+        order.
         """
         entry_list = list(entries)
         if not entry_list:
             return []
-        crawler = self._chunk_crawler()
-        if max_in_flight > 1:
-            records = crawler.crawl_batch(entry_list, self.language_code,
-                                          max_in_flight=max_in_flight)
-        else:
-            records = [crawler.crawl_origin(entry, self.language_code)
-                       for entry in entry_list]
-        return [self._evaluation(entry, record)
-                for entry, record in zip(entry_list, records)]
+        crawler = self.crawler_factory() if self.crawler_factory is not None else self.crawler
+        return asyncio.run(self._evaluate_all(entry_list, crawler, max_in_flight))
 
     def evaluate_window(self, candidates: Iterable[CruxEntry], start: int, stop: int,
                         *, max_in_flight: int = 1) -> list[CandidateEvaluation]:
@@ -293,10 +295,10 @@ class SiteSelector:
         fall below the language threshold are skipped and replaced by the
         next candidate, exactly the paper's replacement rule.
 
-        With ``max_in_flight > 1`` the walk prefetches candidates in batches
-        of that size, keeping up to ``max_in_flight`` origins in flight on a
-        single event loop (one loop and one async fetcher per ``select``
-        call, not per batch).
+        The walk evaluates ``max_in_flight`` candidates at a time on one
+        event loop (one ``asyncio.run`` per ``select`` call, not per batch or
+        fetch) and commits them in rank order; ``max_in_flight=1`` evaluates
+        one candidate at a time.
 
         With ``sub_shard_size`` set, the ranking is chunked into sub-shards
         of that size which are evaluated speculatively on ``executor``
@@ -310,38 +312,28 @@ class SiteSelector:
         for every ``(executor, workers, sub_shard_size, max_in_flight)``
         combination.
         """
+        if max_in_flight < 1:
+            raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
         if sub_shard_size is not None:
             return self._select_subsharded(candidates, quota,
                                            executor=executor,
                                            sub_shard_size=sub_shard_size,
                                            max_in_flight=max_in_flight)
         committer = RankOrderCommitter(quota, self.threshold)
-        if max_in_flight <= 1:
-            for entry in candidates:
-                if committer.filled:
-                    break
-                committer.commit(self.evaluate(entry))
-            return committer.outcome
-        run_coroutine(self._select_batched(iter(candidates), committer, max_in_flight))
+        asyncio.run(self._select_windows(iter(candidates), committer, max_in_flight))
         return committer.outcome
 
-    async def _select_batched(self, iterator: Iterator[CruxEntry],
+    async def _select_windows(self, iterator: Iterator[CruxEntry],
                               committer: RankOrderCommitter,
                               max_in_flight: int) -> None:
-        """The batched walk: crawl ``max_in_flight`` candidates concurrently,
-        commit them in rank order, repeat until the quota fills."""
-        fetcher = self.crawler.session.async_fetcher()
+        """Evaluate ``max_in_flight`` candidates at a time, commit them in
+        rank order, repeat until the quota fills."""
         while not committer.filled:
-            batch = list(itertools.islice(iterator, max_in_flight))
-            if not batch:
+            window = list(itertools.islice(iterator, max_in_flight))
+            if not window:
                 break
-            records = await asyncio.gather(
-                *(self.crawler.crawl_origin_async(entry, self.language_code, fetcher)
-                  for entry in batch))
-            for entry, record in zip(batch, records):
-                if committer.filled:
-                    break
-                committer.commit(self._evaluation(entry, record))
+            committer.commit_chunk(
+                await self._evaluate_all(window, self.crawler, max_in_flight))
 
     def _select_subsharded(self, candidates: Iterable[CruxEntry], quota: int, *,
                            executor: PipelineExecutor | None,

@@ -10,26 +10,24 @@ that methodology against the synthetic web:
 * :mod:`repro.crawler.robots` — robots.txt parsing and politeness decisions.
 * :mod:`repro.crawler.frontier` — a deduplicating URL frontier with per-host
   politeness delays.
-* :mod:`repro.crawler.fetcher` — the transport abstraction (sync and async)
-  plus the simulated transport over
-  :class:`repro.webgen.server.SyntheticWeb`, retries, redirect handling and
-  batched concurrent fetching.
+* :mod:`repro.crawler.fetcher` — the async transport protocol, the
+  simulated transport over :class:`repro.webgen.server.SyntheticWeb`, and
+  the fetcher: retries, redirect handling and batched concurrent fetching.
+* :mod:`repro.crawler.transport` — the production transport stack: real
+  HTTP, politeness, retries with backoff and the on-disk crawl cache.
 * :mod:`repro.crawler.session` — a crawl session bound to a country vantage.
 * :mod:`repro.crawler.records` — crawl records (page snapshots) and JSONL IO.
 * :mod:`repro.crawler.crawler` — the LangCrUX crawler tying it all together.
+
+The fetch path is ``async`` from the transport up to the crawler; callers
+enter the event loop once per unit of work (see
+:mod:`repro.core.site_selection`), and ``max_in_flight=1`` is the
+sequential crawl.
 """
 
 from repro.crawler.http import URL, Request, Response, Headers
 from repro.crawler.vpn import VantagePoint, VPNProvider, VPNManager, DEFAULT_PROVIDERS
-from repro.crawler.fetcher import (
-    AsyncFetcher,
-    AsyncTransport,
-    Fetcher,
-    FetchError,
-    SimulatedTransport,
-    SyncTransportAdapter,
-    Transport,
-)
+from repro.crawler.fetcher import AsyncTransport, Fetcher, FetchError, SimulatedTransport
 from repro.crawler.frontier import Frontier, FrontierEntry
 from repro.crawler.records import PageSnapshot, CrawlRecord, write_records_jsonl, read_records_jsonl
 from repro.crawler.crawler import LangCruxCrawler, CrawlerConfig
@@ -43,13 +41,10 @@ __all__ = [
     "VPNProvider",
     "VPNManager",
     "DEFAULT_PROVIDERS",
-    "AsyncFetcher",
     "AsyncTransport",
     "Fetcher",
     "FetchError",
     "SimulatedTransport",
-    "SyncTransportAdapter",
-    "Transport",
     "Frontier",
     "FrontierEntry",
     "PageSnapshot",

@@ -11,27 +11,23 @@ discovery: language validation, accessibility extraction and all analyses
 happen downstream on the records, so a crawl can be stored once and
 re-analysed many times (the same separation the paper's pipeline uses).
 
-Two dispatch modes share the per-origin logic:
-
-* :meth:`LangCruxCrawler.crawl_origin` / :meth:`LangCruxCrawler.crawl` — the
-  historical blocking walk, one origin at a time;
-* :meth:`LangCruxCrawler.crawl_batch` — the async batched walk: up to
-  ``max_in_flight`` origins are crawled concurrently on one event loop, and
-  records come back in entry order.  With a per-host RNG-split transport
-  (see :class:`~repro.crawler.fetcher.SimulatedTransport`) every record is
-  identical to what the sequential walk would have produced.
+Every crawl method is ``async`` and runs on the caller's event loop.
+:meth:`LangCruxCrawler.crawl_origin` walks one origin's pages in sequence;
+:meth:`LangCruxCrawler.crawl_batch` keeps up to ``max_in_flight`` origins
+in flight and returns records in entry order, so ``max_in_flight=1`` is
+the sequential walk.  With a per-host RNG-split transport (see
+:class:`~repro.crawler.fetcher.SimulatedTransport`) every record is
+identical whatever ``max_in_flight`` is.
 """
 
 from __future__ import annotations
 
-import asyncio
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
-from repro.crawler.fetcher import AsyncFetcher, FetchError, run_coroutine
+from repro.crawler.fetcher import FetchError, gather_bounded
 from repro.crawler.frontier import Frontier, FrontierEntry
-from repro.crawler.http import Response, URL
+from repro.crawler.http import URL
 from repro.crawler.records import CrawlRecord, PageSnapshot
 from repro.crawler.session import CrawlSession
 from repro.html.parser import parse_html
@@ -68,8 +64,12 @@ class LangCruxCrawler:
 
     # -- single origin ---------------------------------------------------------
 
-    @staticmethod
-    def _snapshot_of(url: URL, response: Response) -> PageSnapshot:
+    async def _snapshot(self, url: URL) -> PageSnapshot:
+        try:
+            response = await self.session.fetch(url)
+        except FetchError as error:
+            return PageSnapshot(url=str(url), final_url=str(url), status=error.status or 0,
+                                error=str(error))
         return PageSnapshot(
             url=str(url),
             final_url=str(response.url),
@@ -79,25 +79,6 @@ class LangCruxCrawler:
             elapsed_ms=response.elapsed_ms,
             error=None if response.ok else f"HTTP {response.status}",
         )
-
-    @staticmethod
-    def _error_snapshot(url: URL, error: FetchError) -> PageSnapshot:
-        return PageSnapshot(url=str(url), final_url=str(url), status=error.status or 0,
-                            error=str(error))
-
-    def _snapshot(self, url: URL) -> PageSnapshot:
-        try:
-            response = self.session.fetch(url)
-        except FetchError as error:
-            return self._error_snapshot(url, error)
-        return self._snapshot_of(url, response)
-
-    async def _snapshot_async(self, url: URL, fetcher: AsyncFetcher) -> PageSnapshot:
-        try:
-            response = await self.session.fetch_async(url, fetcher)
-        except FetchError as error:
-            return self._error_snapshot(url, error)
-        return self._snapshot_of(url, response)
 
     def _discover_links(self, snapshot: PageSnapshot, origin: URL) -> list[URL]:
         """Same-origin links found on a fetched page, in document order."""
@@ -123,8 +104,13 @@ class LangCruxCrawler:
             links.append(target)
         return links
 
-    def _start_record(self, entry: CruxEntry, language_code: str
-                      ) -> tuple[CrawlRecord, Frontier]:
+    async def crawl_origin(self, entry: CruxEntry, language_code: str) -> CrawlRecord:
+        """Crawl one origin and return its record.
+
+        Pages of one origin are fetched strictly in sequence (the
+        frontier's politeness contract); concurrency lives one level up, in
+        :meth:`crawl_batch`, where independent origins overlap.
+        """
         record = CrawlRecord(
             domain=entry.origin,
             country_code=entry.country_code,
@@ -138,72 +124,32 @@ class LangCruxCrawler:
                             clock=self.session.clock)
         frontier.add(FrontierEntry(url=origin, priority=entry.rank,
                                    country_code=entry.country_code, depth=0))
-        return record, frontier
-
-    def _schedule_links(self, frontier: Frontier, snapshot: PageSnapshot,
-                        origin: URL, entry: CruxEntry, depth: int) -> None:
-        if not self.config.follow_links or not snapshot.ok:
-            return
-        for link in self._discover_links(snapshot, origin):
-            frontier.add(FrontierEntry(url=link, priority=entry.rank,
-                                       country_code=entry.country_code,
-                                       depth=depth + 1))
-
-    def crawl_origin(self, entry: CruxEntry, language_code: str) -> CrawlRecord:
-        """Crawl one origin and return its record."""
-        origin = URL.parse(f"https://{entry.origin}/")
-        record, frontier = self._start_record(entry, language_code)
         while len(record.pages) < self.config.max_pages_per_site:
             frontier_entry = frontier.pop()
             if frontier_entry is None:
                 break
-            if not self.session.allowed(frontier_entry.url):
+            if not await self.session.allowed(frontier_entry.url):
                 continue
-            snapshot = self._snapshot(frontier_entry.url)
+            snapshot = await self._snapshot(frontier_entry.url)
             record.pages.append(snapshot)
-            self._schedule_links(frontier, snapshot, origin, entry, frontier_entry.depth)
-        return record
-
-    async def crawl_origin_async(self, entry: CruxEntry, language_code: str,
-                                 fetcher: AsyncFetcher | None = None) -> CrawlRecord:
-        """Async twin of :meth:`crawl_origin` — same walk, awaitable fetches.
-
-        Pages of one origin are still fetched strictly in sequence (the
-        frontier's politeness contract); concurrency lives one level up, in
-        :meth:`crawl_batch`, where independent origins overlap.
-        """
-        fetcher = fetcher or self.session.async_fetcher()
-        origin = URL.parse(f"https://{entry.origin}/")
-        record, frontier = self._start_record(entry, language_code)
-        while len(record.pages) < self.config.max_pages_per_site:
-            frontier_entry = frontier.pop()
-            if frontier_entry is None:
-                break
-            if not await self.session.allowed_async(frontier_entry.url, fetcher):
+            if not self.config.follow_links or not snapshot.ok:
                 continue
-            snapshot = await self._snapshot_async(frontier_entry.url, fetcher)
-            record.pages.append(snapshot)
-            self._schedule_links(frontier, snapshot, origin, entry, frontier_entry.depth)
+            for link in self._discover_links(snapshot, origin):
+                frontier.add(FrontierEntry(url=link, priority=entry.rank,
+                                           country_code=entry.country_code,
+                                           depth=frontier_entry.depth + 1))
         return record
 
     # -- many origins ------------------------------------------------------------
 
-    def crawl(self, entries: Iterable[CruxEntry], language_code: str) -> Iterator[CrawlRecord]:
-        """Crawl ``entries`` in order, yielding one record per origin."""
-        for entry in entries:
-            record = self.crawl_origin(entry, language_code)
-            if self._progress is not None:
-                self._progress(record)
-            yield record
-
-    def crawl_batch(self, entries: Sequence[CruxEntry] | Iterable[CruxEntry],
-                    language_code: str, *, max_in_flight: int = 8,
-                    window: tuple[int, int] | None = None) -> list[CrawlRecord]:
+    async def crawl_batch(self, entries: Sequence[CruxEntry] | Iterable[CruxEntry],
+                          language_code: str, *, max_in_flight: int = 8,
+                          window: tuple[int, int] | None = None) -> list[CrawlRecord]:
         """Crawl ``entries`` with up to ``max_in_flight`` origins in flight.
 
         Returns records in entry order; progress callbacks also fire in entry
-        order, once the whole batch has settled.  Determinism relative to the
-        sequential walk requires a per-host RNG-split transport — with a
+        order, once the whole batch has settled.  Determinism relative to
+        ``max_in_flight=1`` requires a per-host RNG-split transport — with a
         shared transport RNG the interleaving would change each origin's
         draws.
 
@@ -212,26 +158,9 @@ class LangCruxCrawler:
         callers can point several batch calls at disjoint windows of one
         ranking without slicing it themselves.
         """
-        if max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
-        if window is not None:
-            start, stop = window
-            if start < 0 or stop < start:
-                raise ValueError(f"window must satisfy 0 <= start <= stop, got {window}")
-            entries = itertools.islice(entries, start, stop)
-        entry_list = list(entries)
-
-        async def batch() -> list[CrawlRecord]:
-            fetcher = self.session.async_fetcher()
-            semaphore = asyncio.Semaphore(max_in_flight)
-
-            async def one(entry: CruxEntry) -> CrawlRecord:
-                async with semaphore:
-                    return await self.crawl_origin_async(entry, language_code, fetcher)
-
-            return list(await asyncio.gather(*(one(entry) for entry in entry_list)))
-
-        records = run_coroutine(batch())
+        records = await gather_bounded(
+            lambda entry: self.crawl_origin(entry, language_code), entries,
+            max_in_flight=max_in_flight, window=window)
         if self._progress is not None:
             for record in records:
                 self._progress(record)

@@ -1,29 +1,27 @@
-"""Fetching pages through a transport.
+"""Fetching pages through an async transport.
 
 The :class:`Fetcher` owns the behaviours a polite, robust crawler needs on
 top of a raw transport: redirect following (with a hop limit), retrying
-transient failures with exponential backoff, and consistent error reporting
-via :class:`FetchError`.  The transport itself is a tiny protocol —
-``send(Request) -> Response`` — with two implementations:
+transient failures, and consistent error reporting via :class:`FetchError`.
+The transport itself is a tiny protocol — ``async send(Request) ->
+Response`` (:class:`AsyncTransport`) — with two implementations:
 
 * :class:`SimulatedTransport` over :class:`repro.webgen.server.SyntheticWeb`,
   used throughout the reproduction (it also injects configurable transient
-  failures so the retry path is genuinely exercised);
+  failures so the retry path is genuinely exercised).  Its latency is
+  virtual — recorded on the response, never slept — so its ``send`` never
+  awaits anything;
 * the production stack in :mod:`repro.crawler.transport` —
   ``HttpAsyncTransport`` (real sockets, connection pooling) composed with
-  politeness, retry and on-disk crawl-cache layers — which implements the
-  async protocol below natively;
+  politeness, retry and on-disk crawl-cache layers;
 * anything else a downstream user plugs in.
 
-A second, asynchronous stack lives alongside the blocking one:
-
-* :class:`AsyncTransport` — the ``async`` twin of :class:`Transport`;
-* :class:`SyncTransportAdapter` — lifts any blocking transport (including
-  :class:`SimulatedTransport`, unchanged) into the async protocol, optionally
-  offloading genuinely blocking ``send`` calls to worker threads;
-* :class:`AsyncFetcher` — the same retry/redirect policy as
-  :class:`Fetcher`, plus :meth:`AsyncFetcher.fetch_many`, which keeps up to
-  ``max_in_flight`` requests in flight and returns responses in input order.
+There is one fetch path.  Callers enter the event loop once per unit of
+work (a country shard or a selection window, see
+:mod:`repro.core.site_selection`) and everything below is ``async``;
+:meth:`Fetcher.fetch_many` keeps up to ``max_in_flight`` requests in flight
+and returns responses in input order, and ``max_in_flight=1`` is the
+sequential walk.
 
 Determinism across interleavings comes from *per-host* RNG splitting: when
 :class:`SimulatedTransport` is given an ``rng_factory``, every host draws its
@@ -39,10 +37,13 @@ import itertools
 import random
 import threading
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Iterable, Protocol, Sequence
+from typing import Awaitable, Callable, Iterable, Protocol, Sequence, TypeVar
 
 from repro.crawler.http import Headers, Request, Response, RETRYABLE_STATUS_CODES, URL
 from repro.webgen.server import SyntheticWeb
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class FetchError(Exception):
@@ -54,10 +55,10 @@ class FetchError(Exception):
         self.status = status
 
 
-class Transport(Protocol):
+class AsyncTransport(Protocol):
     """Minimal transport interface the fetcher depends on."""
 
-    def send(self, request: Request) -> Response:  # pragma: no cover - protocol
+    async def send(self, request: Request) -> Response:  # pragma: no cover - protocol
         ...
 
 
@@ -77,7 +78,7 @@ class SimulatedTransport:
             returned generator feeds every draw for that host's requests.
             This makes each origin's fetch outcome independent of the
             interleaving with other origins, which is what lets batched
-            (async) and sequential crawls produce identical records.  Takes
+            and sequential crawls produce identical records.  Takes
             precedence over ``rng``.
     """
 
@@ -101,11 +102,11 @@ class SimulatedTransport:
             rng = self._host_rngs[host] = self._rng_factory(host)
         return rng
 
-    def send(self, request: Request) -> Response:
+    async def send(self, request: Request) -> Response:
+        # Never awaits: the whole send runs in one step of the event loop.
         # The lock keeps the counter and each host's draw sequence coherent
-        # when a blocking adapter dispatches sends from worker threads; draws
-        # for one request are atomic, and per-host streams make the ordering
-        # across hosts irrelevant.
+        # when thread-backend windows share one transport, each on its own
+        # loop; per-host streams make the ordering across hosts irrelevant.
         with self._lock:
             self.requests_sent += 1
             rng = self._rng_for(request.url.host)
@@ -132,130 +133,31 @@ class SimulatedTransport:
 
 @dataclass
 class FetcherConfig:
-    """Retry/redirect policy of the fetcher."""
+    """Retry/redirect policy of the fetcher.
+
+    Retries are immediate; a transport stack that needs backoff between
+    attempts carries a :class:`~repro.crawler.transport.RetryPolicy`.
+    """
 
     max_redirects: int = 5
     max_retries: int = 3
-    backoff_base_s: float = 0.0  # kept at zero in simulation; real transports would sleep
     user_agent: str = "LangCruxBot/1.0 (+https://example.org/langcrux)"
 
 
 class Fetcher:
-    """Fetches URLs through a transport with retries and redirect handling."""
+    """Fetches URLs through an async transport with retries and redirects.
 
-    def __init__(self, transport: Transport, config: FetcherConfig | None = None) -> None:
-        self.transport = transport
-        self.config = config or FetcherConfig()
-        self.stats = {"requests": 0, "retries": 0, "redirects": 0, "failures": 0}
-
-    def _send_once(self, request: Request) -> Response:
-        self.stats["requests"] += 1
-        headers = Headers(request.headers.as_dict())
-        headers["user-agent"] = self.config.user_agent
-        return self.transport.send(Request(url=request.url, method=request.method,
-                                           headers=headers,
-                                           client_country=request.client_country,
-                                           via_vpn=request.via_vpn))
-
-    def _send_with_retries(self, request: Request) -> Response:
-        response = self._send_once(request)
-        attempts = 0
-        while response.status in RETRYABLE_STATUS_CODES and attempts < self.config.max_retries:
-            attempts += 1
-            self.stats["retries"] += 1
-            response = self._send_once(request)
-        return response
-
-    def fetch(self, url: URL | str, *, client_country: str | None = None,
-              via_vpn: bool = False) -> Response:
-        """Fetch ``url``, following redirects and retrying transient errors.
-
-        Returns the final response, which may still be an error response
-        (e.g. 403 from a VPN-blocking origin or 404); the caller decides how
-        to treat non-retryable failures.
-
-        Raises:
-            FetchError: When a redirect loop/chain exceeds the hop limit or a
-                redirect has no usable target.
-        """
-        parsed = url if isinstance(url, URL) else URL.parse(url)
-        request = Request(url=parsed, client_country=client_country, via_vpn=via_vpn)
-        response = self._send_with_retries(request)
-        hops = 0
-        while response.is_redirect:
-            hops += 1
-            if hops > self.config.max_redirects:
-                self.stats["failures"] += 1
-                raise FetchError(f"too many redirects fetching {parsed}", url=parsed,
-                                 status=response.status)
-            target = response.redirect_target()
-            if target is None:
-                self.stats["failures"] += 1
-                raise FetchError(f"redirect without usable location from {response.url}",
-                                 url=response.url, status=response.status)
-            self.stats["redirects"] += 1
-            request = request.with_url(target)
-            response = self._send_with_retries(request)
-        if not response.ok:
-            self.stats["failures"] += 1
-        return response
-
-
-# -- asynchronous stack -------------------------------------------------------------
-
-
-class AsyncTransport(Protocol):
-    """Asynchronous twin of :class:`Transport`."""
-
-    async def send(self, request: Request) -> Response:  # pragma: no cover - protocol
-        ...
-
-
-class SyncTransportAdapter:
-    """Lifts a blocking :class:`Transport` into the :class:`AsyncTransport` protocol.
-
-    Args:
-        transport: The blocking transport to adapt.
-        blocking: Whether ``transport.send`` genuinely blocks the calling
-            thread.  ``False`` (the default) runs it inline on the event
-            loop, which is correct for :class:`SimulatedTransport` — its
-            latency is virtual, recorded on the response rather than slept.
-            ``True`` offloads each send to a worker thread via
-            :func:`asyncio.to_thread`, so a transport that really sleeps or
-            does socket I/O overlaps across in-flight requests.
-    """
-
-    def __init__(self, transport: Transport, *, blocking: bool = False) -> None:
-        self.transport = transport
-        self.blocking = blocking
-
-    async def send(self, request: Request) -> Response:
-        if self.blocking:
-            return await asyncio.to_thread(self.transport.send, request)
-        return self.transport.send(request)
-
-
-class AsyncFetcher:
-    """Asynchronous counterpart of :class:`Fetcher`.
-
-    Applies the identical retry/redirect policy (the two implementations are
-    deliberate mirrors; behavioural changes must land in both), and adds
-    :meth:`fetch_many` for issuing a bounded number of concurrent requests.
+    :meth:`fetch_many` issues a bounded number of concurrent requests.
 
     Args:
         transport: The async transport to send through.
-        config: Retry/redirect policy (shared with the sync fetcher).
-        stats: Optional stats dict to update in place — pass a
-            :class:`Fetcher`'s ``stats`` so sequential and batched fetches
-            aggregate into one set of counters.
+        config: Retry/redirect policy.
     """
 
-    def __init__(self, transport: AsyncTransport, config: FetcherConfig | None = None,
-                 *, stats: dict[str, int] | None = None) -> None:
+    def __init__(self, transport: AsyncTransport, config: FetcherConfig | None = None) -> None:
         self.transport = transport
         self.config = config or FetcherConfig()
-        self.stats = stats if stats is not None else {
-            "requests": 0, "retries": 0, "redirects": 0, "failures": 0}
+        self.stats = {"requests": 0, "retries": 0, "redirects": 0, "failures": 0}
 
     async def _send_once(self, request: Request) -> Response:
         self.stats["requests"] += 1
@@ -277,7 +179,11 @@ class AsyncFetcher:
 
     async def fetch(self, url: URL | str, *, client_country: str | None = None,
                     via_vpn: bool = False) -> Response:
-        """Async variant of :meth:`Fetcher.fetch` (same contract).
+        """Fetch ``url``, following redirects and retrying transient errors.
+
+        Returns the final response, which may still be an error response
+        (e.g. 403 from a VPN-blocking origin or 404); the caller decides how
+        to treat non-retryable failures.
 
         Raises:
             FetchError: When a redirect loop/chain exceeds the hop limit or a
@@ -318,29 +224,33 @@ class AsyncFetcher:
         slice of ``urls`` (a sub-shard window), returning only that slice's
         responses.
         """
-        if max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
-        if window is not None:
-            start, stop = window
-            if start < 0 or stop < start:
-                raise ValueError(f"window must satisfy 0 <= start <= stop, got {window}")
-            urls = itertools.islice(urls, start, stop)
-        semaphore = asyncio.Semaphore(max_in_flight)
-
-        async def bounded(url: URL | str) -> Response:
-            async with semaphore:
-                return await self.fetch(url, client_country=client_country, via_vpn=via_vpn)
-
-        return await asyncio.gather(*(bounded(url) for url in urls),
-                                    return_exceptions=return_exceptions)
+        return await gather_bounded(
+            lambda url: self.fetch(url, client_country=client_country, via_vpn=via_vpn),
+            urls, max_in_flight=max_in_flight, window=window,
+            return_exceptions=return_exceptions)
 
 
-def run_coroutine(coroutine: Awaitable):
-    """Drive ``coroutine`` to completion from synchronous code.
+async def gather_bounded(function: Callable[[T], Awaitable[R]], items: Iterable[T], *,
+                         max_in_flight: int, window: tuple[int, int] | None = None,
+                         return_exceptions: bool = False) -> list[R]:
+    """Await ``function(item)`` for every item, at most ``max_in_flight`` at once.
 
-    Thin wrapper over :func:`asyncio.run` so every sync→async entry point in
-    the crawling layer goes through one place.  Callers must not already be
-    inside a running event loop (the batched crawl APIs are sync facades used
-    by the per-shard pipeline functions, which never are).
+    Results come back in item order regardless of completion order.
+    ``window`` restricts the batch to the ``[start, stop)`` slice of
+    ``items``; ``return_exceptions`` is :func:`asyncio.gather`'s.
     """
-    return asyncio.run(coroutine)
+    if max_in_flight < 1:
+        raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
+    if window is not None:
+        start, stop = window
+        if start < 0 or stop < start:
+            raise ValueError(f"window must satisfy 0 <= start <= stop, got {window}")
+        items = itertools.islice(items, start, stop)
+    semaphore = asyncio.Semaphore(max_in_flight)
+
+    async def bounded(item: T) -> R:
+        async with semaphore:
+            return await function(item)
+
+    return list(await asyncio.gather(*(bounded(item) for item in items),
+                                     return_exceptions=return_exceptions))

@@ -9,7 +9,11 @@ independently testable layers that compose around any base transport::
         PoliteTransport       per-host token bucket, concurrency cap, robots
           InstrumentedTransport   counts what actually reaches the wire
             HttpAsyncTransport    real HTTP/1.1 with connection pooling
-            (or SyncTransportAdapter over SimulatedTransport)
+            (or SimulatedTransport over the synthetic web)
+
+Every layer is ``async``; a crawl drives the stack from one event loop per
+unit of work (a country shard or a selection window), so the worker
+threads :class:`HttpAsyncTransport` offloads to live as long as the unit.
 
 * :class:`HttpAsyncTransport` is the asyncio-native wire transport: stdlib
   ``http.client`` under :func:`asyncio.to_thread` (no third-party HTTP
@@ -59,7 +63,7 @@ from pathlib import Path
 from typing import Callable
 import random
 
-from repro.crawler.fetcher import AsyncTransport, FetchError, Transport, run_coroutine
+from repro.crawler.fetcher import AsyncTransport, FetchError
 from repro.crawler.http import (
     CLIENT_COUNTRY_HEADER,
     Headers,
@@ -299,6 +303,17 @@ class InstrumentedTransport:
 # -- politeness ---------------------------------------------------------------------
 
 
+async def _sleep(hook: Callable[[float], "asyncio.Future | None"] | None,
+                 seconds: float) -> None:
+    """Wait ``seconds`` through an injected ``hook`` (tests) or asyncio."""
+    if hook is None:
+        await asyncio.sleep(seconds)
+        return
+    result = hook(seconds)
+    if asyncio.iscoroutine(result) or isinstance(result, asyncio.Future):
+        await result
+
+
 class _TokenBucket:
     """A token bucket refilled continuously at ``rate`` tokens/second."""
 
@@ -371,7 +386,7 @@ class PoliteTransport:
         self._buckets: dict[str, _TokenBucket] = {}
         self._robots = RobotsCache(max_age_s=robots_max_age_s, clock=clock)
         # Semaphores are asyncio primitives and must not leak across event
-        # loops (each sync facade call runs its own loop), so the per-host
+        # loops (each crawl window runs its own loop), so the per-host
         # entry records which loop it belongs to and is rebuilt whenever a
         # different loop shows up — one live entry per host, never more.
         self._semaphores: dict[str, tuple[int, asyncio.Semaphore]] = {}
@@ -381,12 +396,7 @@ class PoliteTransport:
             return
         if self.metrics is not None:
             self.metrics.add("rate_limit_wait_s", seconds)
-        if self._sleep is not None:
-            result = self._sleep(seconds)
-            if asyncio.iscoroutine(result) or isinstance(result, asyncio.Future):
-                await result
-            return
-        await asyncio.sleep(seconds)
+        await _sleep(self._sleep, seconds)
 
     def _bucket_for(self, host: str) -> _TokenBucket | None:
         if self.rate_per_host is None:
@@ -524,14 +534,8 @@ class RetryingTransport:
         obs_trace.event("transport.retry",
                         {"host": host, "attempt": attempt,
                          "wait_s": round(delay, 4)})
-        if delay <= 0:
-            return
-        if self._sleep is not None:
-            result = self._sleep(delay)
-            if asyncio.iscoroutine(result) or isinstance(result, asyncio.Future):
-                await result
-            return
-        await asyncio.sleep(delay)
+        if delay > 0:
+            await _sleep(self._sleep, delay)
 
     async def send(self, request: Request) -> Response:
         host = request.url.host
@@ -562,6 +566,15 @@ def _cache_key(request: Request) -> str:
     return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
 
 
+def _dir_identity(path: Path) -> tuple[int, int] | None:
+    """``(st_dev, st_ino)`` of ``path``, or ``None`` when it is gone."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return stat.st_dev, stat.st_ino
+
+
 class _ManifestIndex:
     """A key → entry view over a cache directory's manifests.
 
@@ -580,6 +593,7 @@ class _ManifestIndex:
 
     def __init__(self, cache_dir: Path) -> None:
         self.cache_dir = cache_dir
+        self.identity = _dir_identity(cache_dir)
         self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
         self._offsets: dict[str, int] = {}
@@ -693,7 +707,8 @@ class CachingTransport:
     #: Accepted manifest ``fsync`` policies.
     FSYNC_POLICIES = ("close", "entry")
 
-    #: Per-process shared manifest indexes, one per resolved cache directory.
+    #: Per-process shared manifest indexes, one per resolved cache directory
+    #: still on disk (see :meth:`_shared_index`).
     _SHARED_INDEXES: dict[Path, _ManifestIndex] = {}
     _SHARED_LOCK = threading.Lock()
 
@@ -717,12 +732,7 @@ class CachingTransport:
             self._manifests: _ManifestIndex | None = None
             self._own_entries: dict[str, dict] = {}
         elif shared_index:
-            key = self.cache_dir.resolve()
-            with self._SHARED_LOCK:
-                index = self._SHARED_INDEXES.get(key)
-                if index is None:
-                    index = self._SHARED_INDEXES[key] = _ManifestIndex(self.cache_dir)
-            self._manifests = index
+            self._manifests = self._shared_index(self.cache_dir)
             self._own_entries = {}
         else:
             self._manifests = _ManifestIndex(self.cache_dir)
@@ -730,6 +740,26 @@ class CachingTransport:
         self._manifest_handle = None
         self._lock = threading.Lock()
         self._closed = False
+
+    @classmethod
+    def _shared_index(cls, cache_dir: Path) -> _ManifestIndex:
+        """The process-wide index of ``cache_dir``, dropping stale ones first.
+
+        An index is stale once its directory is gone or was replaced — a
+        different ``(st_dev, st_ino)`` at the same path — since its entries
+        then name files that no longer exist.  Indexes of directories still
+        on disk stay registered after their last transport closes: the next
+        build on the same cache would otherwise re-parse every manifest.
+        """
+        key = cache_dir.resolve()
+        with cls._SHARED_LOCK:
+            for path, index in list(cls._SHARED_INDEXES.items()):
+                if _dir_identity(path) != index.identity:
+                    del cls._SHARED_INDEXES[path]
+            index = cls._SHARED_INDEXES.get(key)
+            if index is None:
+                index = cls._SHARED_INDEXES[key] = _ManifestIndex(cache_dir)
+            return index
 
     # -- manifest persistence ----------------------------------------------------
 
@@ -924,24 +954,6 @@ def compact_cache(cache_dir: str | Path, *,
 # -- composition --------------------------------------------------------------------
 
 
-class AsyncTransportSyncAdapter:
-    """Lifts an :class:`AsyncTransport` into the blocking ``Transport`` protocol.
-
-    The inverse of :class:`~repro.crawler.fetcher.SyncTransportAdapter`:
-    each ``send`` drives one event loop to completion, which lets the
-    historical blocking fetch path (``CrawlSession.fetch`` →
-    ``Fetcher.fetch``) run over an async-native stack unchanged.  Callers
-    must not already be inside a running loop — the same contract as
-    :func:`~repro.crawler.fetcher.run_coroutine`.
-    """
-
-    def __init__(self, inner: AsyncTransport) -> None:
-        self.inner = inner
-
-    def send(self, request: Request) -> Response:
-        return run_coroutine(self.inner.send(request))
-
-
 @dataclass
 class TransportStack:
     """An assembled transport stack and the handles the pipeline needs.
@@ -960,10 +972,6 @@ class TransportStack:
         """Release pooled connections and manifest handles (idempotent)."""
         for closer in self.closers:
             closer()
-
-    def sync_transport(self) -> Transport:
-        """The stack as a blocking ``Transport`` (one event loop per send)."""
-        return AsyncTransportSyncAdapter(self.transport)
 
 
 def build_transport_stack(base: AsyncTransport, *,

@@ -1,12 +1,12 @@
-"""Tests for the async batched fetch layer (repro.crawler.fetcher async stack).
+"""Tests for the async batched fetch layer (repro.crawler.fetcher).
 
-Covers the :class:`AsyncFetcher` retry/redirect mirror of the sync fetcher,
-the :class:`SyncTransportAdapter` (inline and thread-offloaded), bounded
-concurrency and input-order results of ``fetch_many``, the per-host RNG
-splitting of :class:`SimulatedTransport`, and the batched crawl APIs
-(``CrawlSession.fetch_batch``, ``LangCruxCrawler.crawl_batch``,
-``SiteSelector.select(max_in_flight=...)``) matching their sequential
-counterparts record-for-record.
+Covers the :class:`Fetcher` retry/redirect policy driven through
+``fetch_many``, transports that yield (overlapping sleeps) or never await
+(running on the loop thread), bounded concurrency and input-order results
+of ``fetch_many``, the per-host RNG splitting of :class:`SimulatedTransport`,
+and the batched crawl APIs (``CrawlSession.fetch_batch``,
+``LangCruxCrawler.crawl_batch``, ``SiteSelector.select(max_in_flight=...)``)
+matching their ``max_in_flight=1`` walks record-for-record.
 """
 
 from __future__ import annotations
@@ -20,14 +20,7 @@ import pytest
 
 from repro.core.site_selection import SiteSelector
 from repro.crawler.crawler import LangCruxCrawler
-from repro.crawler.fetcher import (
-    AsyncFetcher,
-    Fetcher,
-    FetcherConfig,
-    FetchError,
-    SimulatedTransport,
-    SyncTransportAdapter,
-)
+from repro.crawler.fetcher import Fetcher, FetcherConfig, FetchError, SimulatedTransport
 from repro.crawler.http import Headers, Request, Response, URL
 from repro.crawler.session import CrawlSession
 from repro.crawler.vpn import VPNManager
@@ -59,13 +52,13 @@ def _session(web, failure_rate: float = 0.0) -> CrawlSession:
 
 
 class _ScriptedTransport:
-    """A sync transport returning a scripted sequence of responses."""
+    """A never-awaiting transport returning a scripted sequence of responses."""
 
     def __init__(self, responses: list[Response]) -> None:
         self.responses = list(responses)
         self.sent: list[Request] = []
 
-    def send(self, request: Request) -> Response:
+    async def send(self, request: Request) -> Response:
         self.sent.append(request)
         if len(self.responses) > 1:
             return self.responses.pop(0)
@@ -79,7 +72,11 @@ def _resp(url: str, status: int, location: str | None = None) -> Response:
     return Response(url=URL.parse(url), status=status, headers=headers, body="<p>x</p>")
 
 
-def _fetch(fetcher: AsyncFetcher, url: str, **kwargs) -> Response:
+def _crawl(crawler: LangCruxCrawler, entries, **kwargs) -> list:
+    return asyncio.run(crawler.crawl_batch(entries, "ko", **kwargs))
+
+
+def _fetch(fetcher: Fetcher, url: str, **kwargs) -> Response:
     return asyncio.run(fetcher.fetch(url, **kwargs))
 
 
@@ -90,7 +87,7 @@ class TestAsyncFetcher:
             _resp("https://a.example/", 503),
             _resp("https://a.example/", 200),
         ])
-        fetcher = AsyncFetcher(SyncTransportAdapter(transport), FetcherConfig(max_retries=3))
+        fetcher = Fetcher(transport, FetcherConfig(max_retries=3))
         response = _fetch(fetcher, "https://a.example/")
         assert response.ok
         assert fetcher.stats["retries"] == 2
@@ -100,7 +97,7 @@ class TestAsyncFetcher:
             _resp("https://a.example/", 302, location="/home"),
             _resp("https://a.example/home", 200),
         ])
-        fetcher = AsyncFetcher(SyncTransportAdapter(transport))
+        fetcher = Fetcher(transport)
         response = _fetch(fetcher, "https://a.example/", client_country="th", via_vpn=True)
         assert response.ok
         assert str(response.url).endswith("/home")
@@ -110,28 +107,29 @@ class TestAsyncFetcher:
 
     def test_redirect_loop_raises(self) -> None:
         transport = _ScriptedTransport([_resp("https://a.example/", 302, location="/")])
-        fetcher = AsyncFetcher(SyncTransportAdapter(transport),
-                               FetcherConfig(max_redirects=3))
+        fetcher = Fetcher(transport, FetcherConfig(max_redirects=3))
         with pytest.raises(FetchError):
             _fetch(fetcher, "https://a.example/")
 
     def test_stats_shared_with_sync_fetcher(self) -> None:
+        # A single fetch and a max_in_flight=1 batch count into one stats dict.
         transport = _ScriptedTransport([_resp("https://a.example/", 200)])
-        sync_fetcher = Fetcher(transport)
-        async_fetcher = AsyncFetcher(SyncTransportAdapter(transport),
-                                     sync_fetcher.config, stats=sync_fetcher.stats)
-        _fetch(async_fetcher, "https://a.example/")
-        sync_fetcher.fetch("https://a.example/")
-        assert sync_fetcher.stats["requests"] == 2
+        fetcher = Fetcher(transport)
+        _fetch(fetcher, "https://a.example/")
+        asyncio.run(fetcher.fetch_many(["https://a.example/"], max_in_flight=1))
+        assert fetcher.stats["requests"] == 2
 
     def test_matches_sync_fetcher_over_synthetic_web(self, web) -> None:
-        url = f"https://{next(iter(web.domains()))}/"
-        sync_response = Fetcher(_split_transport(web)).fetch(url, client_country="kr",
-                                                             via_vpn=True)
-        async_fetcher = AsyncFetcher(SyncTransportAdapter(_split_transport(web)))
-        async_response = _fetch(async_fetcher, url, client_country="kr", via_vpn=True)
-        assert async_response.status == sync_response.status
-        assert async_response.body == sync_response.body
+        urls = [f"https://{domain}/" for domain in list(web.domains())[:6]]
+
+        def fetch_all(max_in_flight: int) -> list[Response]:
+            fetcher = Fetcher(_split_transport(web))
+            return asyncio.run(fetcher.fetch_many(urls, client_country="kr", via_vpn=True,
+                                                  max_in_flight=max_in_flight))
+
+        for sequential, batched in zip(fetch_all(1), fetch_all(4), strict=True):
+            assert batched.status == sequential.status
+            assert batched.body == sequential.body
 
 
 class _ConcurrencyProbe:
@@ -151,40 +149,41 @@ class _ConcurrencyProbe:
 
 class TestFetchMany:
     def test_results_in_input_order(self) -> None:
-        fetcher = AsyncFetcher(_ConcurrencyProbe())
+        fetcher = Fetcher(_ConcurrencyProbe())
         urls = [f"https://site{i}.example/" for i in range(10)]
         responses = asyncio.run(fetcher.fetch_many(urls, max_in_flight=4))
         assert [str(r.url) for r in responses] == urls
 
     def test_concurrency_bounded_by_max_in_flight(self) -> None:
         probe = _ConcurrencyProbe()
-        fetcher = AsyncFetcher(probe)
+        fetcher = Fetcher(probe)
         urls = [f"https://site{i}.example/" for i in range(12)]
         asyncio.run(fetcher.fetch_many(urls, max_in_flight=3))
         assert 1 < probe.max_in_flight <= 3
 
     def test_max_in_flight_must_be_positive(self) -> None:
-        fetcher = AsyncFetcher(_ConcurrencyProbe())
+        fetcher = Fetcher(_ConcurrencyProbe())
         with pytest.raises(ValueError):
             asyncio.run(fetcher.fetch_many(["https://a.example/"], max_in_flight=0))
 
     def test_return_exceptions_keeps_batch_alive(self) -> None:
         transport = _ScriptedTransport([_resp("https://a.example/", 302, location="/")])
-        fetcher = AsyncFetcher(SyncTransportAdapter(transport),
-                               FetcherConfig(max_redirects=1))
+        fetcher = Fetcher(transport, FetcherConfig(max_redirects=1))
         results = asyncio.run(fetcher.fetch_many(
             ["https://a.example/", "https://a.example/x"], return_exceptions=True))
         assert all(isinstance(result, FetchError) for result in results)
 
 
 class TestSyncTransportAdapter:
+    """Transports that yield overlap; transports that never await stay inline."""
+
     def test_blocking_mode_overlaps_sleeping_sends(self) -> None:
         class SleepyTransport:
-            def send(self, request: Request) -> Response:
-                time.sleep(0.05)
+            async def send(self, request: Request) -> Response:
+                await asyncio.sleep(0.05)
                 return _resp(str(request.url), 200)
 
-        fetcher = AsyncFetcher(SyncTransportAdapter(SleepyTransport(), blocking=True))
+        fetcher = Fetcher(SleepyTransport())
         urls = [f"https://site{i}.example/" for i in range(6)]
         started = time.perf_counter()
         responses = asyncio.run(fetcher.fetch_many(urls, max_in_flight=6))
@@ -198,11 +197,11 @@ class TestSyncTransportAdapter:
         seen: list[str] = []
 
         class RecordingTransport:
-            def send(self, request: Request) -> Response:
+            async def send(self, request: Request) -> Response:
                 seen.append(threading.current_thread().name)
                 return _resp(str(request.url), 200)
 
-        fetcher = AsyncFetcher(SyncTransportAdapter(RecordingTransport()))
+        fetcher = Fetcher(RecordingTransport())
         asyncio.run(fetcher.fetch_many(["https://a.example/", "https://b.example/"]))
         assert set(seen) == {threading.main_thread().name}
 
@@ -215,8 +214,8 @@ class TestPerHostRngSplitting:
             transport = _split_transport(web, failure_rate=0.4)
             results = {}
             for domain in order:
-                response = transport.send(Request(url=URL.parse(f"https://{domain}/"),
-                                                  client_country="kr", via_vpn=True))
+                response = asyncio.run(transport.send(Request(
+                    url=URL.parse(f"https://{domain}/"), client_country="kr", via_vpn=True)))
                 results[domain] = (response.status, response.elapsed_ms)
             return results
 
@@ -229,9 +228,9 @@ class TestPerHostRngSplitting:
 
         def elapsed(order: list[str]) -> dict[str, float]:
             transport = SimulatedTransport(web, rng=random.Random(3))
-            return {domain: transport.send(
+            return {domain: asyncio.run(transport.send(
                 Request(url=URL.parse(f"https://{domain}/"), client_country="kr",
-                        via_vpn=True)).elapsed_ms for domain in order}
+                        via_vpn=True))).elapsed_ms for domain in order}
 
         assert elapsed(domains) != elapsed(list(reversed(domains)))
 
@@ -240,8 +239,8 @@ class TestBatchedCrawl:
     def test_fetch_batch_orders_and_advances_clock(self, web) -> None:
         session = _session(web)
         domains = list(web.domains())[:5]
-        responses = session.fetch_batch([f"https://{domain}/" for domain in domains],
-                                        max_in_flight=3)
+        responses = asyncio.run(session.fetch_batch(
+            [f"https://{domain}/" for domain in domains], max_in_flight=3))
         # Responses come back in input order (redirects may rewrite the path).
         assert [r.url.host for r in responses] == domains
         assert session.clock.now == pytest.approx(
@@ -250,9 +249,8 @@ class TestBatchedCrawl:
     def test_crawl_batch_matches_sequential_crawl(self, web, sites) -> None:
         table = build_crux_table(sites)
         entries = list(table.top("kr", 8))
-        sequential = list(LangCruxCrawler(_session(web, 0.3)).crawl(entries, "ko"))
-        batched = LangCruxCrawler(_session(web, 0.3)).crawl_batch(entries, "ko",
-                                                                  max_in_flight=4)
+        sequential = _crawl(LangCruxCrawler(_session(web, 0.3)), entries, max_in_flight=1)
+        batched = _crawl(LangCruxCrawler(_session(web, 0.3)), entries, max_in_flight=4)
         assert [record.to_dict() for record in batched] == \
             [record.to_dict() for record in sequential]
 
@@ -261,20 +259,19 @@ class TestBatchedCrawl:
         entries = list(table.top("kr", 5))
         progressed: list[str] = []
         crawler = LangCruxCrawler(_session(web), progress=lambda r: progressed.append(r.domain))
-        crawler.crawl_batch(entries, "ko", max_in_flight=5)
+        _crawl(crawler, entries, max_in_flight=5)
         assert progressed == [entry.origin for entry in entries]
 
     def test_crawl_batch_rejects_non_positive_in_flight(self, web) -> None:
         with pytest.raises(ValueError):
-            LangCruxCrawler(_session(web)).crawl_batch([], "ko", max_in_flight=0)
+            _crawl(LangCruxCrawler(_session(web)), [], max_in_flight=0)
 
     def test_crawl_batch_window_crawls_only_the_slice(self, web, sites) -> None:
         table = build_crux_table(sites)
         entries = list(table.top("kr", 8))
-        windowed = LangCruxCrawler(_session(web)).crawl_batch(
-            entries, "ko", max_in_flight=3, window=(2, 5))
-        sliced = LangCruxCrawler(_session(web)).crawl_batch(
-            entries[2:5], "ko", max_in_flight=3)
+        windowed = _crawl(LangCruxCrawler(_session(web)), entries,
+                          max_in_flight=3, window=(2, 5))
+        sliced = _crawl(LangCruxCrawler(_session(web)), entries[2:5], max_in_flight=3)
         assert [record.to_dict() for record in windowed] == \
             [record.to_dict() for record in sliced]
         assert [record.domain for record in windowed] == \
@@ -283,20 +280,19 @@ class TestBatchedCrawl:
     def test_crawl_batch_window_beyond_the_end_is_empty(self, web, sites) -> None:
         table = build_crux_table(sites)
         entries = list(table.top("kr", 4))
-        assert LangCruxCrawler(_session(web)).crawl_batch(
-            entries, "ko", window=(10, 20)) == []
+        assert _crawl(LangCruxCrawler(_session(web)), entries, window=(10, 20)) == []
 
     def test_crawl_batch_rejects_invalid_window(self, web) -> None:
         crawler = LangCruxCrawler(_session(web))
         with pytest.raises(ValueError):
-            crawler.crawl_batch([], "ko", window=(3, 1))
+            _crawl(crawler, [], window=(3, 1))
         with pytest.raises(ValueError):
-            crawler.crawl_batch([], "ko", window=(-1, 2))
+            _crawl(crawler, [], window=(-1, 2))
 
     def test_fetch_many_window_fetches_only_the_slice(self, web) -> None:
         domains = list(web.domains())[:6]
         urls = [f"https://{domain}/" for domain in domains]
-        fetcher = AsyncFetcher(SyncTransportAdapter(_split_transport(web)))
+        fetcher = Fetcher(_split_transport(web))
         windowed = asyncio.run(fetcher.fetch_many(
             urls, client_country="kr", via_vpn=True, window=(1, 4)))
         assert [response.url.host for response in windowed] == domains[1:4]

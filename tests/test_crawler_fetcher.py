@@ -1,7 +1,11 @@
-"""Tests for the fetcher and simulated transport (repro.crawler.fetcher)."""
+"""Tests for the fetcher and simulated transport (repro.crawler.fetcher).
+
+Both are async; each test drives them from one ``asyncio.run``.
+"""
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
@@ -11,6 +15,10 @@ from repro.crawler.http import Headers, Request, Response, URL
 from repro.webgen.profiles import get_profile
 from repro.webgen.server import SyntheticWeb
 from repro.webgen.sitegen import SiteGenerator
+
+
+def _run(coroutine):
+    return asyncio.run(coroutine)
 
 
 @pytest.fixture(scope="module")
@@ -27,24 +35,24 @@ def domains(web) -> list[str]:
 class TestSimulatedTransport:
     def test_successful_fetch(self, web, domains) -> None:
         transport = SimulatedTransport(web)
-        response = transport.send(Request(url=URL.parse(f"https://{domains[0]}/"),
-                                          client_country="il"))
+        response = _run(transport.send(Request(url=URL.parse(f"https://{domains[0]}/"),
+                                               client_country="il")))
         assert response.status in (200, 302, 403)
         assert transport.requests_sent == 1
 
     def test_failure_injection(self, web, domains) -> None:
         transport = SimulatedTransport(web, failure_rate=1.0, rng=random.Random(0))
-        response = transport.send(Request(url=URL.parse(f"https://{domains[0]}/")))
+        response = _run(transport.send(Request(url=URL.parse(f"https://{domains[0]}/"))))
         assert response.status == 503
 
     def test_unknown_host_is_502(self, web) -> None:
         transport = SimulatedTransport(web)
-        response = transport.send(Request(url=URL.parse("https://missing.example/")))
+        response = _run(transport.send(Request(url=URL.parse("https://missing.example/"))))
         assert response.status == 502
 
     def test_latency_recorded(self, web, domains) -> None:
         transport = SimulatedTransport(web, latency_ms=200.0, rng=random.Random(1))
-        response = transport.send(Request(url=URL.parse(f"https://{domains[0]}/")))
+        response = _run(transport.send(Request(url=URL.parse(f"https://{domains[0]}/"))))
         assert response.elapsed_ms > 0
 
 
@@ -55,7 +63,7 @@ class _ScriptedTransport:
         self.responses = list(responses)
         self.sent: list[Request] = []
 
-    def send(self, request: Request) -> Response:
+    async def send(self, request: Request) -> Response:
         self.sent.append(request)
         if len(self.responses) > 1:
             return self.responses.pop(0)
@@ -77,28 +85,28 @@ class TestFetcherRetries:
             _resp("https://a.example/", 200),
         ])
         fetcher = Fetcher(transport, FetcherConfig(max_retries=3))
-        response = fetcher.fetch("https://a.example/")
+        response = _run(fetcher.fetch("https://a.example/"))
         assert response.ok
         assert fetcher.stats["retries"] == 2
 
     def test_retries_exhausted_returns_error_response(self) -> None:
         transport = _ScriptedTransport([_resp("https://a.example/", 503)])
         fetcher = Fetcher(transport, FetcherConfig(max_retries=2))
-        response = fetcher.fetch("https://a.example/")
+        response = _run(fetcher.fetch("https://a.example/"))
         assert response.status == 503
         assert fetcher.stats["failures"] == 1
 
     def test_non_retryable_error_not_retried(self) -> None:
         transport = _ScriptedTransport([_resp("https://a.example/", 404)])
         fetcher = Fetcher(transport)
-        response = fetcher.fetch("https://a.example/")
+        response = _run(fetcher.fetch("https://a.example/"))
         assert response.status == 404
         assert fetcher.stats["retries"] == 0
 
     def test_user_agent_header_attached(self) -> None:
         transport = _ScriptedTransport([_resp("https://a.example/", 200)])
         fetcher = Fetcher(transport)
-        fetcher.fetch("https://a.example/")
+        _run(fetcher.fetch("https://a.example/"))
         assert "langcruxbot" in transport.sent[0].headers.get("user-agent", "").lower()
 
 
@@ -109,7 +117,7 @@ class TestFetcherRedirects:
             _resp("https://a.example/home", 200),
         ])
         fetcher = Fetcher(transport)
-        response = fetcher.fetch("https://a.example/")
+        response = _run(fetcher.fetch("https://a.example/"))
         assert response.ok
         assert str(response.url).endswith("/home")
         assert fetcher.stats["redirects"] == 1
@@ -118,7 +126,7 @@ class TestFetcherRedirects:
         transport = _ScriptedTransport([_resp("https://a.example/", 302, location="/")])
         fetcher = Fetcher(transport, FetcherConfig(max_redirects=3))
         with pytest.raises(FetchError):
-            fetcher.fetch("https://a.example/")
+            _run(fetcher.fetch("https://a.example/"))
 
     def test_vantage_forwarded_across_redirects(self) -> None:
         transport = _ScriptedTransport([
@@ -126,7 +134,7 @@ class TestFetcherRedirects:
             _resp("https://a.example/home", 200),
         ])
         fetcher = Fetcher(transport)
-        fetcher.fetch("https://a.example/", client_country="th", via_vpn=True)
+        _run(fetcher.fetch("https://a.example/", client_country="th", via_vpn=True))
         assert all(request.client_country == "th" for request in transport.sent)
         assert all(request.via_vpn for request in transport.sent)
 
@@ -136,7 +144,7 @@ class TestEndToEndOverSyntheticWeb:
         fetcher = Fetcher(SimulatedTransport(web, rng=random.Random(3)))
         ok = 0
         for domain in domains:
-            response = fetcher.fetch(f"https://{domain}/", client_country="il", via_vpn=True)
+            response = _run(fetcher.fetch(f"https://{domain}/", client_country="il", via_vpn=True))
             if response.ok:
                 ok += 1
                 assert "<html" in response.body.lower()

@@ -1,7 +1,8 @@
-"""Tests for crawl sessions and the LangCrUX crawler."""
+"""Tests for crawl sessions and the LangCrUX crawler (both async)."""
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
@@ -49,26 +50,26 @@ class TestCrawlSession:
         session = _session(web)
         target = next(site for site in sites if not site.blocks_vpn)
         before = session.clock.now
-        session.fetch(f"https://{target.domain}/")
+        asyncio.run(session.fetch(f"https://{target.domain}/"))
         assert session.clock.now > before
 
     def test_robots_allowed_by_default(self, web, sites) -> None:
         session = _session(web)
         # The synthetic origins serve no robots.txt (404), which allows all.
-        assert session.allowed(f"https://{sites[0].domain}/")
+        assert asyncio.run(session.allowed(f"https://{sites[0].domain}/"))
 
     def test_robots_cache_reused(self, web, sites) -> None:
         session = _session(web)
         url = f"https://{sites[0].domain}/"
-        session.allowed(url)
+        asyncio.run(session.allowed(url))
         requests_after_first = session.fetcher.stats["requests"]
-        session.allowed(url)
+        asyncio.run(session.allowed(url))
         assert session.fetcher.stats["requests"] == requests_after_first
 
     def test_respect_robots_false_skips_fetch(self, web, sites) -> None:
         session = _session(web)
         session.respect_robots = False
-        assert session.allowed(f"https://{sites[0].domain}/")
+        assert asyncio.run(session.allowed(f"https://{sites[0].domain}/"))
         assert session.fetcher.stats["requests"] == 0
 
 
@@ -76,7 +77,7 @@ class TestLangCruxCrawler:
     def test_crawl_origin_records_homepage(self, web, sites) -> None:
         site = next(s for s in sites if not s.blocks_vpn)
         crawler = LangCruxCrawler(_session(web))
-        record = crawler.crawl_origin(CruxEntry(site.domain, 123, "kr"), "ko")
+        record = asyncio.run(crawler.crawl_origin(CruxEntry(site.domain, 123, "kr"), "ko"))
         assert record.domain == site.domain
         assert record.rank == 123
         assert record.vantage_country == "kr"
@@ -88,7 +89,7 @@ class TestLangCruxCrawler:
         if not blocked:
             pytest.skip("no VPN-blocking site in this sample")
         crawler = LangCruxCrawler(_session(web))
-        record = crawler.crawl_origin(CruxEntry(blocked[0].domain, 5, "kr"), "ko")
+        record = asyncio.run(crawler.crawl_origin(CruxEntry(blocked[0].domain, 5, "kr"), "ko"))
         assert not record.succeeded
         assert record.pages[0].status == 403
 
@@ -98,7 +99,7 @@ class TestLangCruxCrawler:
             _session(web),
             CrawlerConfig(max_pages_per_site=3, follow_links=True, politeness_delay_s=0.0),
         )
-        record = crawler.crawl_origin(CruxEntry(site.domain, 7, "kr"), "ko")
+        record = asyncio.run(crawler.crawl_origin(CruxEntry(site.domain, 7, "kr"), "ko"))
         assert len(record.pages) > 1
         hosts = {page.url.split("/")[2] for page in record.pages}
         assert hosts == {site.domain}
@@ -107,7 +108,7 @@ class TestLangCruxCrawler:
         table = build_crux_table(sites)
         crawler = LangCruxCrawler(_session(web))
         seen: list[str] = []
-        records = list(crawler.crawl(table.top("kr", 5), "ko"))
+        records = asyncio.run(crawler.crawl_batch(table.top("kr", 5), "ko", max_in_flight=1))
         assert len(records) == 5
         for record in records:
             assert record.domain not in seen
@@ -117,12 +118,12 @@ class TestLangCruxCrawler:
         table = build_crux_table(sites)
         progressed = []
         crawler = LangCruxCrawler(_session(web), progress=progressed.append)
-        list(crawler.crawl(table.top("kr", 3), "ko"))
+        asyncio.run(crawler.crawl_batch(table.top("kr", 3), "ko", max_in_flight=1))
         assert len(progressed) == 3
 
     def test_cloud_vantage_recorded(self, web, sites) -> None:
         site = next(s for s in sites if not s.blocks_vpn)
         crawler = LangCruxCrawler(_session(web, country=None))
-        record = crawler.crawl_origin(CruxEntry(site.domain, 9, "kr"), "ko")
+        record = asyncio.run(crawler.crawl_origin(CruxEntry(site.domain, 9, "kr"), "ko"))
         assert record.vantage_country == ""
         assert not record.via_vpn

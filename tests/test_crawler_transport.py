@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import pickle
 import random
+import shutil
 import threading
+import tracemalloc
 
 import pytest
 
-from repro.crawler.fetcher import AsyncFetcher, FetchError, SyncTransportAdapter
+from repro.crawler.fetcher import Fetcher, FetchError, SimulatedTransport
 from repro.crawler.http import Headers, Request, Response, URL
 from repro.crawler.metrics import TransportMetrics
 from repro.crawler.transport import (
-    AsyncTransportSyncAdapter,
     CachingTransport,
     HttpAsyncTransport,
     InstrumentedTransport,
@@ -164,7 +166,7 @@ class TestHttpAsyncTransport:
     def test_fetcher_over_live_transport_follows_redirects(self, synthetic_web,
                                                            live_server) -> None:
         transport = HttpAsyncTransport(gateway=live_server.gateway)
-        fetcher = AsyncFetcher(transport)
+        fetcher = Fetcher(transport)
         try:
             for domain in synthetic_web.domains():
                 response = asyncio.run(fetcher.fetch(
@@ -257,7 +259,7 @@ class TestPoliteTransport:
         assert peak["max"] <= 2
 
     def test_semaphores_stay_bounded_across_event_loops(self) -> None:
-        # The sync facade runs one event loop per send; per-host entries are
+        # Every crawl window runs its own event loop; per-host entries are
         # rebuilt for the current loop, never accumulated per loop.
         polite = PoliteTransport(ScriptedTransport(), max_per_host=2)
         for _ in range(20):
@@ -590,6 +592,58 @@ class TestCachingTransport:
         assert again.orphan_bodies_removed == 0
 
 
+class TestSharedIndexEviction:
+    """Shared manifest indexes live only as long as their directories."""
+
+    def test_deleted_directory_index_is_dropped(self, tmp_path) -> None:
+        gone = tmp_path / "gone"
+        writer = CachingTransport(ScriptedTransport(), gone)
+        _send(writer, _request("one.example"))
+        writer.close()
+        shutil.rmtree(gone)
+        CachingTransport(ScriptedTransport(), tmp_path / "other").close()
+        assert gone.resolve() not in CachingTransport._SHARED_INDEXES
+
+    def test_replaced_directory_gets_a_fresh_index(self, tmp_path) -> None:
+        cache = tmp_path / "cache"
+        writer = CachingTransport(ScriptedTransport(), cache)
+        _send(writer, _request("one.example"))
+        writer.close()
+        # Moved away, not deleted, so the new directory cannot reuse its inode.
+        cache.rename(tmp_path / "moved")
+        reader_inner = ScriptedTransport()
+        reader = CachingTransport(reader_inner, cache)
+        _send(reader, _request("two.example"))
+        reader.close()
+        assert [entry["url"] for entry in reader._manifests.snapshot().values()] == \
+            ["https://two.example/"]
+
+    def test_builds_on_deleted_caches_leave_the_heap_flat(self, tmp_path) -> None:
+        from repro.core.pipeline import LangCrUXPipeline, PipelineConfig
+
+        def build(index: int) -> None:
+            cache = tmp_path / f"cache-{index}"
+            LangCrUXPipeline(PipelineConfig(countries=("bd",), sites_per_country=4,
+                                            seed=11, crawl_cache=str(cache))).run()
+            shutil.rmtree(cache)
+
+        tracemalloc.start()
+        try:
+            for index in range(2):  # warm every lazily filled process cache
+                build(index)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(2, 10):
+                build(index)
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # Keeping each deleted cache's manifest index grows the heap by
+        # ~16 KiB per build here; a flat heap moves by a few KiB at most.
+        assert growth < 48 * 1024
+
+
 class TestComposition:
     def test_build_transport_stack_counts_network_requests(self, tmp_path) -> None:
         stack = build_transport_stack(ScriptedTransport(), cache_dir=tmp_path,
@@ -601,16 +655,14 @@ class TestComposition:
         assert stack.metrics.cache_hits == 1
 
     def test_sync_adapter_drives_the_async_stack(self) -> None:
+        # Synchronous code drives the stack through one event loop.
         stack = build_transport_stack(ScriptedTransport())
-        sync = stack.sync_transport()
-        response = sync.send(_request("one.example"))
+        response = _send(stack.transport, _request("one.example"))
         assert response.status == 200
         assert stack.metrics.network_requests == 1
 
     def test_stack_over_simulated_transport(self, synthetic_web, tmp_path) -> None:
-        from repro.crawler.fetcher import SimulatedTransport
-
-        base = SyncTransportAdapter(SimulatedTransport(synthetic_web))
+        base = SimulatedTransport(synthetic_web)
         stack = build_transport_stack(base, cache_dir=tmp_path)
         domain = synthetic_web.domains()[0]
         cold = _send(stack.transport, _request(domain))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
@@ -59,7 +60,7 @@ class TestCrawlerHonoursRobots:
         if not blocked:
             pytest.skip("no disallow-all site in this sample")
         crawler = self._crawler(web)
-        record = crawler.crawl_origin(CruxEntry(blocked[0].domain, 1, "ru"), "ru")
+        record = asyncio.run(crawler.crawl_origin(CruxEntry(blocked[0].domain, 1, "ru"), "ru"))
         assert record.pages == []
         assert not record.succeeded
 
@@ -70,5 +71,5 @@ class TestCrawlerHonoursRobots:
         if not partial:
             pytest.skip("no partial-disallow site in this sample")
         crawler = self._crawler(web)
-        record = crawler.crawl_origin(CruxEntry(partial[0].domain, 1, "ru"), "ru")
+        record = asyncio.run(crawler.crawl_origin(CruxEntry(partial[0].domain, 1, "ru"), "ru"))
         assert record.succeeded
