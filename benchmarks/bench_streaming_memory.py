@@ -16,13 +16,9 @@ country twice — at a base quota and at 4x — in two modes:
 
 Peaks are measured with ``tracemalloc`` (resettable per run, unlike
 ``ru_maxrss``, and it sees the parent's record buffers on every backend —
-the process backend ships its records home before they count).  DOM trees
-are reference cycles, so a default-threshold run's tracemalloc peak is
-dominated by not-yet-collected garbage rather than live state; the harness
-tightens the gc thresholds for the duration (both modes equally) so the
-peak tracks resident state, which is what the bounded-memory claim is
-about.  Both output files are asserted byte-identical to each other run
-over run, so the memory win never costs determinism.  The harness asserts
+the process backend ships its records home before they count).  Both
+output files are asserted byte-identical to each other run over run, so
+the memory win never costs determinism.  The harness asserts
 the windowed peak ratio stays <= 1.5x across the 4x quota scale while the
 buffered ratio at least doubles; set ``LANGCRUX_BENCH_ASSERT_SPEEDUP=0`` to
 demote both to report-only lines (CI does).
@@ -85,20 +81,10 @@ def _measured_run(config: PipelineConfig, stream_path, *, keep_in_memory: bool):
 
 
 def test_streaming_memory_stays_flat(reporter) -> None:
-    thresholds = gc.get_threshold()
     tracemalloc.start()
-    gc.set_threshold(50, 5, 5)  # keep cyclic DOM garbage out of the peaks
-    # Move the harness environment (pytest, plugins, ...) into the permanent
-    # generation: a large long-lived baseline defers full collections
-    # (long_lived_pending <= long_lived_total/4), which would let promoted
-    # cyclic garbage pile up during long runs and skew the peaks.
-    gc.collect()
-    gc.freeze()
     try:
         _run_harness(reporter)
     finally:
-        gc.unfreeze()
-        gc.set_threshold(*thresholds)
         tracemalloc.stop()
 
 

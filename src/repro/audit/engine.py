@@ -61,8 +61,9 @@ class AuditEngine:
         else:
             # Unwrap accessors so a DocumentIndex argument cannot silently
             # ride through what is supposed to be the naive reference path.
-            naive_source = document if isinstance(document, Document) else document.document
-            context = NaiveDocumentAccessor(naive_source)
+            if not isinstance(document, Document):
+                document = Document(root=document.root, url=document.url)
+            context = NaiveDocumentAccessor(document)
         with perf.stage("audit"):
             perf.count("audit.documents")
             report = AuditReport(url=context.url)

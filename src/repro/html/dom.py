@@ -6,10 +6,17 @@ handful of query helpers.  It does not attempt CSS cascade, layout or
 JavaScript execution — the visible-text rules in
 :mod:`repro.html.visibility` approximate the rendering decisions that matter
 for this study.
+
+Child links are strong and parent links are weak, so a tree holds no
+reference cycle: a page is freed by reference counting the moment its
+:class:`Document` (or its root element) is dropped, without waiting for a
+cyclic garbage collection.  The flip side is that an element kept after its
+tree is dropped reads ``parent is None``.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
@@ -29,20 +36,42 @@ VOID_TAGS = frozenset({
 })
 
 
+def _no_parent() -> None:
+    """The ``_parent`` slot of a node without a parent."""
+    return None
+
+
+_ref = weakref.ref
+
+
 class Node:
     """Base class for DOM nodes."""
 
-    __slots__ = ("parent",)
+    __slots__ = ("_parent",)
 
     def __init__(self) -> None:
-        self.parent: "Element | None" = None
+        self._parent: Callable[[], "Element | None"] = _no_parent
+
+    @property
+    def parent(self) -> "Element | None":
+        """The parent element, or ``None``.
+
+        The link is a weak reference: the parent keeps its children alive,
+        never the other way round.  A node kept after the rest of its tree
+        (the document and its root) is dropped therefore reads ``None``.
+        """
+        return self._parent()
+
+    @parent.setter
+    def parent(self, element: "Element | None") -> None:
+        self._parent = _no_parent if element is None else _ref(element)
 
     def ancestors(self) -> Iterator["Element"]:
         """Yield ancestors from the immediate parent up to the root."""
-        current = self.parent
+        current = self._parent()
         while current is not None:
             yield current
-            current = current.parent
+            current = current._parent()
 
 
 class TextNode(Node):
@@ -62,7 +91,7 @@ class TextNode(Node):
 class Element(Node):
     """An HTML element with attributes and children."""
 
-    __slots__ = ("tag", "attributes", "children", "tree_version")
+    __slots__ = ("tag", "attributes", "children", "tree_version", "__weakref__")
 
     def __init__(self, tag: str, attributes: Mapping[str, str] | None = None) -> None:
         super().__init__()
@@ -87,7 +116,7 @@ class Element(Node):
         element.attributes = attributes
         element.children = []
         element.tree_version = 0
-        element.parent = parent
+        element._parent = _ref(parent)
         parent.children.append(element)
         return element
 
@@ -96,15 +125,17 @@ class Element(Node):
         # mutation, which stays cheap because HTML trees are shallow even
         # when they are wide.
         node = self
-        while node.parent is not None:
-            node = node.parent
+        parent = node._parent()
+        while parent is not None:
+            node = parent
+            parent = node._parent()
         node.tree_version += 1
 
     # -- tree construction -------------------------------------------------
 
     def append(self, node: Node) -> Node:
         """Append ``node`` as the last child and return it."""
-        node.parent = self
+        node._parent = _ref(self)
         self.children.append(node)
         self._mark_mutated()
         return node
@@ -118,7 +149,7 @@ class Element(Node):
         pure overhead on the parse hot path.  Never use this on a tree that
         a document may already be serving.
         """
-        node.parent = self
+        node._parent = _ref(self)
         self.children.append(node)
         return node
 
@@ -221,15 +252,21 @@ class Element(Node):
     # -- serialization -----------------------------------------------------
 
     def to_html(self) -> str:
-        """Serialize the subtree back to HTML (used by the page generator)."""
+        """Serialize the subtree back to HTML.
+
+        The page generator writes its markup directly; this serializer is
+        what the test suite's DOM-building page oracle and the DOM tests
+        use.
+        """
         attrs = "".join(
-            f' {name}' if value == "" and name in _BOOLEAN_ATTRS else f' {name}="{_escape(value)}"'
+            f' {name}' if value == "" and name in _BOOLEAN_ATTRS
+            else f' {name}="{escape_attribute(value)}"'
             for name, value in self.attributes.items()
         )
         if self.tag in VOID_TAGS:
             return f"<{self.tag}{attrs}>"
         inner = "".join(
-            child.to_html() if isinstance(child, Element) else _escape_text(child.text)
+            child.to_html() if isinstance(child, Element) else escape_text(child.text)
             for child in self.children
         )
         return f"<{self.tag}{attrs}>{inner}</{self.tag}>"
@@ -242,12 +279,26 @@ class Element(Node):
 _BOOLEAN_ATTRS = frozenset({"hidden", "disabled", "checked", "required", "multiple", "selected"})
 
 
-def _escape(value: str) -> str:
+def escape_attribute(value: str) -> str:
+    """Escape a double-quoted attribute value for serialization."""
     return value.replace("&", "&amp;").replace('"', "&quot;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _escape_text(value: str) -> str:
+def escape_text(value: str) -> str:
+    """Escape character data for serialization."""
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def title_of(root: Element) -> str | None:
+    """Text of the first ``<title>`` under ``root`` (preferring ``<head>``),
+    stripped, or ``None`` when there is none."""
+    head = next((el for el in root.child_elements() if el.tag == "head"), None)
+    title = (head if head is not None else root).find("title")
+    if title is None:
+        title = root.find("title")
+    if title is None:
+        return None
+    return title.text_content().strip()
 
 
 @dataclass
@@ -286,14 +337,7 @@ class Document:
     @property
     def title(self) -> str | None:
         """Text of the ``<title>`` element, stripped, or ``None`` when absent."""
-        head = self.head
-        scope = head if head is not None else self.root
-        title = scope.find("title")
-        if title is None:
-            title = self.root.find("title")
-        if title is None:
-            return None
-        return title.text_content().strip()
+        return title_of(self.root)
 
     # -- queries -------------------------------------------------------------
 
@@ -384,8 +428,8 @@ def new_document(lang: str | None = None, title: str | None = None,
                  url: str | None = None) -> Document:
     """Create an empty document with ``<head>`` and ``<body>`` scaffolding.
 
-    Used by the synthetic page generator and by tests that build isolated
-    single-element pages (the Appendix D experiment).
+    Used by the test suite's DOM-building page oracle and by tests that
+    build isolated single-element pages (the Appendix D experiment).
     """
     root = Element("html", {"lang": lang} if lang else None)
     head = Element("head")

@@ -30,7 +30,9 @@ behind the same interface so consumers can be switched between the two paths
 Consumers obtain the index via :meth:`repro.html.dom.Document.index`, which
 caches it on the document and rebuilds it when the tree mutates — so the
 pipeline's extraction and audit stages, and Kizuki's base-vs-extended double
-audit, all share one traversal per page.
+audit, all share one traversal per page.  The index holds the root, the URL
+and the declared language rather than the document that caches it, so the
+cache forms no reference cycle and a dropped page is freed at once.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.html.accessibility import AccessibleNameResult, accessible_name
-from repro.html.dom import Document, Element, Node
+from repro.html.dom import Document, Element, Node, title_of
 from repro.html.visibility import _element_hidden, extract_visible_text, is_visible
 
 _UNSET = object()
@@ -49,10 +51,15 @@ class DocumentIndex:
 
     Exposes the query surface the audit rules and the extraction layer need;
     see the module docstring for what is precomputed versus lazily cached.
+    It keeps the document's root, URL and declared language, not the
+    document itself: the document caches its index, and a link back would
+    make every indexed page a reference cycle.
     """
 
     def __init__(self, document: Document) -> None:
-        self.document = document
+        self.root = document.root
+        self.url = document.url
+        self.html_lang = document.html_lang
         by_tag: dict[str, list[Element]] = {}
         by_role: dict[str, list[Element]] = {}
         by_id: dict[str, Element] = {}
@@ -99,22 +106,10 @@ class DocumentIndex:
     # -- document-level accessors -----------------------------------------
 
     @property
-    def root(self) -> Element:
-        return self.document.root
-
-    @property
-    def url(self) -> str | None:
-        return self.document.url
-
-    @property
-    def html_lang(self) -> str | None:
-        return self.document.html_lang
-
-    @property
     def title(self) -> str | None:
         """The document title, computed once and cached."""
         if self._title is _UNSET:
-            self._title = self.document.title
+            self._title = title_of(self.root)
         return self._title  # type: ignore[return-value]
 
     # -- element selection -------------------------------------------------
@@ -185,7 +180,7 @@ class DocumentIndex:
         memoized; a non-normalized request computes fresh.
         """
         if element is None:
-            element = self.document.root
+            element = self.root
         if not normalize:
             return extract_visible_text(element, normalize=False)
         cached = self._visible_text.get(element)

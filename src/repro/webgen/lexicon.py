@@ -57,9 +57,9 @@ class Lexicon:
     def sentence(self, rng: random.Random, min_words: int = 4, max_words: int = 12) -> str:
         """A pseudo-sentence of random content words."""
         count = rng.randint(min_words, max_words)
-        words = [self.word(rng) for _ in range(count)]
+        choice, words = rng.choice, self.words
         joiner = " " if self.space_separated else ""
-        return joiner.join(words)
+        return joiner.join([choice(words) for _ in range(count)])
 
     def paragraph(self, rng: random.Random, min_sentences: int = 2, max_sentences: int = 5) -> str:
         count = rng.randint(min_sentences, max_sentences)

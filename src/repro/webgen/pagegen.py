@@ -2,10 +2,13 @@
 
 Given a per-site behaviour specification (language mix of visible content,
 language mix of accessibility text, uninformative-text propensity), this
-module builds a DOM :class:`~repro.html.dom.Document` and its serialized
-HTML.  The generated pages contain all twelve language-sensitive element
-types studied by the paper so that every audit rule and every extraction path
-is exercised.
+module writes a page's HTML directly: each builder appends escaped markup
+fragments to one list, joined once per page, and no DOM is built on the way.
+:meth:`PageGenerator.generate_document` parses that HTML when a caller wants
+a :class:`~repro.html.dom.Document`.  A DOM-building reference generator in
+the test suite pins the markup byte for byte.  The generated pages contain
+all twelve language-sensitive element types studied by the paper so that
+every audit rule and every extraction path is exercised.
 
 The generator is intentionally noisy in the same ways real pages are noisy:
 some images get ``alt=""``, some buttons rely on their visible text only,
@@ -19,7 +22,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.html.dom import Document, Element, new_document
+from repro.html.dom import Document, escape_attribute, escape_text
+from repro.html.parser import parse_html
 from repro.webgen import lexicon as lex
 from repro.webgen.lexicon import ENGLISH, Lexicon, get_lexicon, mixed_phrase
 from repro.webgen.profiles import ELEMENT_PROFILES, ElementProfile
@@ -212,173 +216,145 @@ class PageGenerator:
         return text
 
     # -- element builders ------------------------------------------------------
+    #
+    # Each builder appends escaped markup fragments to ``out`` in document
+    # order, drawing from the RNG in exactly the order the fragments appear.
 
     def _count_for(self, profile: ElementProfile) -> int:
         low = profile.min_per_page
         high = max(low, round(profile.max_per_page * self.spec.element_density))
         return self.rng.randint(low, high)
 
-    def _add_images(self, body: Element, profile: ElementProfile) -> None:
+    def _fallback_text(self, profile: ElementProfile) -> str:
+        """Escaped visible inner text of an interactive element, or ``""``."""
+        if profile.visible_text_fallback and self.rng.random() < self.spec.fallback_text_rate:
+            return escape_text(self._visible_lexicon().ui_term(self.rng))
+        return ""
+
+    def _add_images(self, out: list[str], profile: ElementProfile) -> None:
         for index in range(self._count_for(profile)):
             text, _ = self._accessibility_text(profile)
-            attrs = {"src": f"/media/img_{index}.jpg"}
-            if text is not None:
-                attrs["alt"] = text
-            body.append(Element("img", attrs))
+            out.append(f'<img src="/media/img_{index}.jpg"{_attribute("alt", text)}>')
 
-    def _add_buttons(self, body: Element, profile: ElementProfile) -> None:
+    def _add_buttons(self, out: list[str], profile: ElementProfile) -> None:
         for _ in range(self._count_for(profile)):
             text, _ = self._accessibility_text(profile)
-            button = Element("button", {"type": "button"})
-            if text is not None:
-                button.set("aria-label", text)
-            if profile.visible_text_fallback and self.rng.random() < self.spec.fallback_text_rate:
-                button.append_text(self._visible_lexicon().ui_term(self.rng))
-            body.append(button)
+            out.append(f'<button type="button"{_attribute("aria-label", text)}>'
+                       f'{self._fallback_text(profile)}</button>')
 
-    def _add_links(self, body: Element, profile: ElementProfile) -> None:
-        nav = Element("nav")
-        body.append(nav)
+    def _add_links(self, out: list[str], profile: ElementProfile) -> None:
+        out.append("<nav>")
         for index in range(self._count_for(profile)):
             text, _ = self._accessibility_text(profile)
-            link = Element("a", {"href": f"/page/{index}"})
-            if text is not None:
-                link.set("aria-label", text)
-            if profile.visible_text_fallback and self.rng.random() < self.spec.fallback_text_rate:
-                link.append_text(self._visible_lexicon().ui_term(self.rng))
-            nav.append(link)
+            out.append(f'<a href="/page/{index}"{_attribute("aria-label", text)}>'
+                       f'{self._fallback_text(profile)}</a>')
+        out.append("</nav>")
 
-    def _add_frames(self, body: Element, profile: ElementProfile) -> None:
+    def _add_frames(self, out: list[str], profile: ElementProfile) -> None:
         for index in range(self._count_for(profile)):
             text, _ = self._accessibility_text(profile)
-            attrs = {"src": f"https://embed.example.com/widget/{index}"}
-            if text is not None:
-                attrs["title"] = text
-            body.append(Element("iframe", attrs))
+            out.append(f'<iframe src="https://embed.example.com/widget/{index}"'
+                       f'{_attribute("title", text)}></iframe>')
 
-    def _add_form(self, body: Element) -> None:
+    def _add_form(self, out: list[str]) -> None:
         """Build a form exercising label, select-name, input buttons and input images."""
-        form = Element("form", {"action": "/submit", "method": "post"})
-        body.append(form)
+        out.append('<form action="/submit" method="post">')
 
         label_profile = self.spec.element_profiles["label"]
         for index in range(self._count_for(label_profile)):
             field_id = f"field_{index}"
             text, _ = self._accessibility_text(label_profile)
             if text is not None:
-                label = Element("label", {"for": field_id})
-                label.append_text(text)
-                form.append(label)
-            form.append(Element("input", {"type": "text", "id": field_id, "name": field_id}))
+                out.append(f'<label for="{field_id}">{escape_text(text)}</label>')
+            out.append(f'<input type="text" id="{field_id}" name="{field_id}">')
 
         select_profile = self.spec.element_profiles["select-name"]
         for index in range(self._count_for(select_profile)):
             text, _ = self._accessibility_text(select_profile)
-            select = Element("select", {"name": f"choice_{index}"})
-            if text is not None:
-                select.set("aria-label", text)
+            out.append(f'<select name="choice_{index}"{_attribute("aria-label", text)}>')
             for option_index in range(self.rng.randint(2, 5)):
-                option = Element("option", {"value": str(option_index)})
-                option.append_text(self._visible_lexicon().word(self.rng))
-                select.append(option)
-            form.append(select)
+                word = escape_text(self._visible_lexicon().word(self.rng))
+                out.append(f'<option value="{option_index}">{word}</option>')
+            out.append("</select>")
 
         input_button_profile = self.spec.element_profiles["input-button-name"]
         for _ in range(self._count_for(input_button_profile)):
             text, _ = self._accessibility_text(input_button_profile)
-            attrs = {"type": "submit"}
-            if text is not None:
-                attrs["value"] = text
-            form.append(Element("input", attrs))
+            out.append(f'<input type="submit"{_attribute("value", text)}>')
 
         input_image_profile = self.spec.element_profiles["input-image-alt"]
         for index in range(self._count_for(input_image_profile)):
             text, _ = self._accessibility_text(input_image_profile)
-            attrs = {"type": "image", "src": f"/media/button_{index}.png"}
-            if text is not None:
-                attrs["alt"] = text
-            form.append(Element("input", attrs))
+            out.append(f'<input type="image" src="/media/button_{index}.png"'
+                       f'{_attribute("alt", text)}>')
+        out.append("</form>")
 
-    def _add_objects(self, body: Element, profile: ElementProfile) -> None:
+    def _add_objects(self, out: list[str], profile: ElementProfile) -> None:
         for index in range(self._count_for(profile)):
             text, _ = self._accessibility_text(profile)
-            obj = Element("object", {"data": f"/media/doc_{index}.pdf", "type": "application/pdf"})
-            if text is not None and text:
-                obj.append_text(text)
-            elif text == "":
-                obj.append_text("")
-            body.append(obj)
+            out.append(f'<object data="/media/doc_{index}.pdf" type="application/pdf">'
+                       f'{escape_text(text) if text else ""}</object>')
 
-    def _add_summaries(self, body: Element, profile: ElementProfile) -> None:
-        for _ in range(self._count_for(profile)):
-            details = Element("details")
-            summary = Element("summary")
-            text, _ = self._accessibility_text(profile)
-            if text is not None:
-                summary.set("aria-label", text)
-            if profile.visible_text_fallback and self.rng.random() < self.spec.fallback_text_rate:
-                summary.append_text(self._visible_lexicon().ui_term(self.rng))
-            details.append(summary)
-            paragraph = Element("p")
-            paragraph.append_text(self._visible_lexicon().sentence(self.rng))
-            details.append(paragraph)
-            body.append(details)
-
-    def _add_svgs(self, body: Element, profile: ElementProfile) -> None:
+    def _add_summaries(self, out: list[str], profile: ElementProfile) -> None:
         for _ in range(self._count_for(profile)):
             text, _ = self._accessibility_text(profile)
-            svg = Element("svg", {"role": "img", "viewbox": "0 0 24 24"})
-            if text is not None:
-                svg.set("aria-label", text)
-            svg.append(Element("path", {"d": "M0 0h24v24H0z"}))
-            body.append(svg)
+            summary = (f'<details><summary{_attribute("aria-label", text)}>'
+                       f'{self._fallback_text(profile)}</summary>')
+            sentence = escape_text(self._visible_lexicon().sentence(self.rng))
+            out.append(f"{summary}<p>{sentence}</p></details>")
 
-    def _add_visible_content(self, body: Element) -> None:
+    def _add_svgs(self, out: list[str], profile: ElementProfile) -> None:
+        for _ in range(self._count_for(profile)):
+            text, _ = self._accessibility_text(profile)
+            out.append(f'<svg role="img" viewbox="0 0 24 24"{_attribute("aria-label", text)}>'
+                       '<path d="M0 0h24v24H0z"></path></svg>')
+
+    def _add_visible_content(self, out: list[str]) -> None:
         """Headings and paragraphs carrying the page's visible language mix."""
-        heading = Element("h1")
-        heading.append_text(self._visible_lexicon().phrase(self.rng))
-        body.append(heading)
-        for _ in range(self.rng.randint(4, 10)):
-            section = Element("section")
-            subheading = Element("h2")
-            subheading.append_text(self._visible_lexicon().phrase(self.rng))
-            section.append(subheading)
-            for _ in range(self.rng.randint(1, 3)):
-                paragraph = Element("p")
-                paragraph.append_text(self._visible_lexicon().paragraph(self.rng))
-                section.append(paragraph)
-            body.append(section)
+        rng = self.rng
+        out.append(f"<h1>{escape_text(self._visible_lexicon().phrase(rng))}</h1>")
+        for _ in range(rng.randint(4, 10)):
+            out.append(f"<section><h2>{escape_text(self._visible_lexicon().phrase(rng))}</h2>")
+            for _ in range(rng.randint(1, 3)):
+                out.append(f"<p>{escape_text(self._visible_lexicon().paragraph(rng))}</p>")
+            out.append("</section>")
 
-    # -- entry point -----------------------------------------------------------
-
-    def generate_document(self, url: str | None = None) -> Document:
-        """Generate a full page as a :class:`Document`."""
-        title_profile = self.spec.element_profiles["document-title"]
-        title_text, _ = self._accessibility_text(title_profile)
-        document = new_document(lang=self.spec.declare_lang, url=url)
-        if title_text:
-            title_el = Element("title")
-            title_el.append_text(title_text)
-            head = document.head
-            assert head is not None
-            head.append(title_el)
-        body = document.body
-        assert body is not None
-
-        self._add_visible_content(body)
-        self._add_images(body, self.spec.element_profiles["image-alt"])
-        self._add_buttons(body, self.spec.element_profiles["button-name"])
-        self._add_links(body, self.spec.element_profiles["link-name"])
-        self._add_frames(body, self.spec.element_profiles["frame-title"])
-        self._add_form(body)
-        self._add_objects(body, self.spec.element_profiles["object-alt"])
-        self._add_summaries(body, self.spec.element_profiles["summary-name"])
-        self._add_svgs(body, self.spec.element_profiles["svg-img-alt"])
-
-        # No explicit invalidate_indexes() needed: the mutations above bump
-        # the tree version, so document-level caches rebuild on next access.
-        return document
+    # -- entry points ----------------------------------------------------------
 
     def generate_html(self, url: str | None = None) -> str:
-        """Generate a page and serialize it to HTML."""
-        return self.generate_document(url=url).to_html()
+        """Generate a full page as HTML.
+
+        ``url`` is accepted for symmetry with :meth:`generate_document`; the
+        markup does not depend on it.
+        """
+        title_profile = self.spec.element_profiles["document-title"]
+        title_text, _ = self._accessibility_text(title_profile)
+        lang = self.spec.declare_lang
+        out = [f'<!DOCTYPE html><html{_attribute("lang", lang or None)}><head>']
+        if title_text:
+            out.append(f"<title>{escape_text(title_text)}</title>")
+        out.append("</head><body>")
+
+        profiles = self.spec.element_profiles
+        self._add_visible_content(out)
+        self._add_images(out, profiles["image-alt"])
+        self._add_buttons(out, profiles["button-name"])
+        self._add_links(out, profiles["link-name"])
+        self._add_frames(out, profiles["frame-title"])
+        self._add_form(out)
+        self._add_objects(out, profiles["object-alt"])
+        self._add_summaries(out, profiles["summary-name"])
+        self._add_svgs(out, profiles["svg-img-alt"])
+        out.append("</body></html>")
+        return "".join(out)
+
+    def generate_document(self, url: str | None = None) -> Document:
+        """Generate a full page and parse it into a :class:`Document`."""
+        return parse_html(self.generate_html(url), url=url)
+
+
+def _attribute(name: str, value: str | None) -> str:
+    """`` name="value"`` with the value escaped, or ``""`` when it is absent."""
+    if value is None:
+        return ""
+    return f' {name}="{escape_attribute(value)}"'
