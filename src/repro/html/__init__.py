@@ -21,8 +21,6 @@ subpackage provides a static equivalent:
   visible-text and accessible-name results) that the audit and extraction
   layers consult instead of re-traversing the tree, plus the
   :class:`~repro.html.index.NaiveDocumentAccessor` reference path.
-* :mod:`repro.html.selectors` — a small CSS-like selector engine.  Nothing
-  in the pipeline imports it; the audit rules select from the index.
 """
 
 from repro.html.dom import Document, Element, Node, TextNode
