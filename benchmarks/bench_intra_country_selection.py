@@ -3,11 +3,11 @@
 The paper's selection loop is strictly sequential per country, so a run
 dominated by one large country (the common case: quotas are uniform but
 rankings are not) cannot use more than one worker no matter how many are
-configured.  The sub-sharded walk (:meth:`repro.core.site_selection.
-SiteSelector.select` with ``sub_shard_size``/``executor``) removes that
-ceiling: the rank walk is cut into fixed-size windows that executor workers
-evaluate speculatively, while a rank-ordered committer keeps the outcome
-byte-identical to the sequential walk.
+configured.  The sub-sharded walk removes that ceiling: the rank walk is
+cut into fixed-size windows that executor workers evaluate speculatively
+(:meth:`repro.core.site_selection.SiteSelector.evaluate_window`), while a
+rank-ordered committer keeps the outcome byte-identical to the sequential
+walk.
 
 This harness makes the crawl latency *real*: it wraps the simulated
 transport so every send genuinely awaits its drawn latency (scaled down to
@@ -30,8 +30,8 @@ import os
 import random
 import time
 
-from repro.core.executor import ThreadedExecutor
-from repro.core.site_selection import SiteSelector
+from repro.core.executor import ThreadedExecutor, plan_chunks
+from repro.core.site_selection import RankOrderCommitter, SelectionOutcome, SiteSelector
 from repro.crawler.crawler import LangCruxCrawler
 from repro.crawler.fetcher import Fetcher, SimulatedTransport
 from repro.crawler.http import Request, Response
@@ -93,6 +93,32 @@ def _crawler(web: SyntheticWeb) -> LangCruxCrawler:
     return LangCruxCrawler(session)
 
 
+def _subsharded_select(web: SyntheticWeb, table) -> SelectionOutcome:
+    """Windows on a thread pool, committed in rank order until the quota fills.
+
+    Each window evaluates on its own crawler (own session/robots cache);
+    the per-host RNG split keeps every crawl identical regardless.
+    """
+    committer = RankOrderCommitter(QUOTA, threshold=0.5)
+
+    def evaluate(window: tuple[int, int]):
+        if committer.filled:
+            return []
+        return SiteSelector(_crawler(web), "bn").evaluate_window(
+            table.iter_ranked("bd"), *window, quota=QUOTA)
+
+    stream = ThreadedExecutor(WORKERS).run_ordered(
+        evaluate, plan_chunks(table.size("bd"), SUB_SHARD_SIZE))
+    try:
+        for result in stream:
+            committer.commit_chunk(result.value)
+            if committer.filled:
+                break  # stop consuming; pending windows are cancelled
+    finally:
+        stream.close()
+    return committer.outcome
+
+
 def test_subsharded_selection_throughput(reporter) -> None:
     sites = SiteGenerator(get_profile("bd"), seed=BENCHMARK_SEED).generate_sites(CANDIDATES)
     web = SyntheticWeb(sites)
@@ -103,13 +129,8 @@ def test_subsharded_selection_throughput(reporter) -> None:
         table.iter_ranked("bd"), quota=QUOTA)
     sequential_s = time.perf_counter() - started
 
-    # Each sub-shard evaluates on its own crawler (own session/robots cache);
-    # the per-host RNG split keeps every crawl identical regardless.
     started = time.perf_counter()
-    subsharded = SiteSelector(_crawler(web), "bn",
-                              crawler_factory=lambda: _crawler(web)).select(
-        table.iter_ranked("bd"), quota=QUOTA,
-        executor=ThreadedExecutor(WORKERS), sub_shard_size=SUB_SHARD_SIZE)
+    subsharded = _subsharded_select(web, table)
     subsharded_s = time.perf_counter() - started
 
     sequential_rps = len(sequential.selected) / sequential_s

@@ -144,13 +144,13 @@ def _build_parser() -> argparse.ArgumentParser:
                             "async batched fetch layer; any value produces "
                             "byte-identical output (default: 1)")
     build.add_argument("--sub-shard-size", type=_positive_int, default=None,
-                       help="split each country's candidate walk into sub-shards of "
+                       help="split each country's candidate walk into windows of "
                             "this many candidates so one country can use every "
-                            "worker; sub-shards are evaluated speculatively but "
+                            "worker; windows are evaluated speculatively but "
                             "committed in rank order, so any value produces "
-                            "byte-identical output (default: whole-country shards)")
+                            "byte-identical output (default: one window per country)")
     build.add_argument("--stream-output", type=Path, default=None,
-                       help="stream records to this JSONL as shards finish instead "
+                       help="stream records to this JSONL as windows commit instead "
                             "of writing --output after the run; the file is "
                             "committed atomically and is byte-identical to the "
                             "in-memory write")

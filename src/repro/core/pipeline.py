@@ -14,54 +14,45 @@ The pipeline chains every stage of the methodology:
    :class:`~repro.html.index.DocumentIndex`, one DOM traversal per page.
 5. **Dataset** — assemble :class:`~repro.core.dataset.LangCrUXDataset`.
 
-Stages 2–4 are independent per country, so they are expressed as *pure
-per-shard functions* (:func:`execute_country_shard` and the helpers it
-calls) that an execution backend from :mod:`repro.core.executor` dispatches
-concurrently.  Every shard constructs its own transport, crawl session and
-audit engine, and each candidate origin draws its transport randomness from
-its own stream seeded by ``stable_seed(seed, "transport", country,
-domain)``, so the outcome of crawling one origin depends on nothing but the
-config — not on worker counts, batch sizes or completion interleavings.  A
-parallel and/or batched run is therefore byte-identical to a sequential
-one.
+Stages 2–4 are independent per country, and within a country per
+candidate, so the unit of work is one **selection window**: a rank slice
+of one country's ranking (:class:`SelectionSubShard`), evaluated by the
+pure function :func:`execute_selection_subshard` on whichever backend from
+:mod:`repro.core.executor` runs it.  Without ``sub_shard_size`` each
+country is a single window over its whole ranking; with it, rankings are
+cut into windows of that many candidates so one large country can occupy
+every worker.  A window constructs its own transport, crawl session and
+audit engine, crawls and measures its candidates (``max_in_flight`` at a
+time on one event loop), and speculatively builds the site record of every
+candidate that would qualify from the already-parsed documents.  Each
+candidate origin draws its transport randomness from its own stream seeded
+by ``stable_seed(seed, "transport", country, domain)``, so a window's
+result depends on nothing but the config — not on worker counts, window
+sizes or completion interleavings.
 
-Intra-country sub-sharding
---------------------------
-With ``PipelineConfig.sub_shard_size`` set, shard planning descends one
-level: instead of one work unit per country, each country's ranking is cut
-into fixed-size :class:`SelectionSubShard` windows and *those* are what the
-executor dispatches (:func:`execute_selection_subshard`).  Each sub-shard
-speculatively crawls its window, measures native shares, and — for
-candidates that would qualify — speculatively builds the site record from
-the already-parsed documents.  The parent then reassembles per-country
-:class:`~repro.core.site_selection.SelectionOutcome`s by committing
-sub-shard evaluations in strict rank order through a
-:class:`~repro.core.site_selection.RankOrderCommitter`: once a country's
-quota fills, later evaluations are discarded uncounted, queued sub-shards
-of that country short-circuit via a filled-countries flag, and once every
-country is finalized the executor stream is closed, cancelling anything
-still pending.  Selected sets, rejection counters and output JSONL are
-byte-identical to the sequential walk for every ``(executor, workers,
-sub_shard_size, max_in_flight)`` combination — which is what lets a run
-dominated by one large country scale past one worker.
+The merge is one loop for every backend (:meth:`LangCrUXPipeline.run`, and
+:class:`~repro.dist.coordinator.Coordinator` across processes): window
+results are committed in strict rank order through the country's
+:class:`CountryMerge`, whose
+:class:`~repro.core.site_selection.RankOrderCommitter` discards evaluations
+past the quota uncounted.  Queued windows of a filled country
+short-circuit via a filled-countries flag, and once every country is
+finalized the executor stream is closed.  Selected sets, rejection
+counters and output JSONL are byte-identical to the sequential walk for
+every ``(executor, workers, sub_shard_size, max_in_flight)`` combination.
 
-Within a shard (or sub-shard), ``PipelineConfig.max_in_flight`` controls the
-async batched fetch layer as before.
-
-Across shards, :meth:`LangCrUXPipeline.run` can stream records straight to
-disk through :class:`~repro.core.dataset.StreamingDatasetWriter`
-(``stream_to``), preserving the ordered-merge guarantee (countries always
-finalize in configured order, sub-sharded or not).  Streaming is *windowed*:
-a sub-sharded run commits records to the writer per committed window — the
-rank-order merge already serializes them — inside a per-country writer
-section, and with ``keep_in_memory=False`` each record leaves memory the
-moment it is on disk, with its selection outcome slimmed window by window.
-Peak resident state is then proportional to in-flight windows
-(``workers × sub_shard_size`` pages plus the executor's bounded reorder
-buffer), not to ``sites_per_country``; time-to-first-record, the
-record-buffer high-water mark and the process's peak RSS are tracked on
-:class:`PipelineResult` and — under ``profile=True`` — as ``max``-merged
-gauges on ``PipelineResult.perf_metrics``.
+:meth:`LangCrUXPipeline.run` can stream records straight to disk through
+:class:`~repro.core.dataset.StreamingDatasetWriter` (``stream_to``).
+Records reach the writer per committed window — the rank-order merge
+already serializes them — inside a per-country writer section, and with
+``keep_in_memory=False`` each record leaves memory the moment it is on
+disk, with its selection outcome slimmed window by window.  Peak resident
+state is then proportional to in-flight windows (``workers ×
+sub_shard_size`` pages plus the executor's bounded reorder buffer), not to
+``sites_per_country``; time-to-first-record, the record-buffer high-water
+mark and the process's peak RSS are tracked on :class:`PipelineResult` and
+— under ``profile=True`` — as ``max``-merged gauges on
+``PipelineResult.perf_metrics``.
 
 The result object keeps the intermediate artifacts (ranking, selection
 outcomes, per-shard timing metrics) because several benchmark harnesses
@@ -72,12 +63,11 @@ uses the outcomes, the scaling benchmark uses the shard metrics).
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro import perf
 from repro.audit.engine import AuditEngine
@@ -86,7 +76,6 @@ from repro.core.executor import (
     PipelineExecutor,
     ProcessExecutor,
     ShardMetrics,
-    ShardResult,
     create_executor,
     plan_chunks,
 )
@@ -141,21 +130,21 @@ class PipelineConfig:
             simulated transport.
         language_threshold: Minimum native share of visible text (0.5).
         respect_robots: Whether the crawler honours robots.txt.
-        workers: Number of country shards processed concurrently.  The
+        workers: Number of selection windows evaluated concurrently.  The
             default of 1 keeps the historical sequential behaviour; any
-            value produces the same dataset bytes (per-shard seeding).
+            value produces the same dataset bytes (per-window seeding).
         executor: Execution backend — ``"auto"`` (serial for one worker,
             threads otherwise), ``"serial"``, ``"thread"`` or ``"process"``.
-        max_in_flight: Concurrent candidate fetches inside one country shard
-            (the async batched fetch layer).  1 keeps the sequential walk;
+        max_in_flight: Concurrent candidate crawls inside one window (the
+            async batched fetch layer).  1 keeps the sequential walk;
             any value produces the same dataset bytes (per-candidate RNG
             splits).
-        sub_shard_size: When set, each country's candidate rank-walk is cut
-            into sub-shards of this many candidates and those become the
-            executor's work units, so a single large country can occupy
-            every worker.  ``None`` (the default) keeps whole-country
-            shards.  Any value produces the same dataset bytes: sub-shards
-            are evaluated speculatively but committed in strict rank order.
+        sub_shard_size: When set, each country's ranking is cut into
+            windows of this many candidates, so a single large country can
+            occupy every worker.  ``None`` (the default) makes each country
+            one window over its whole ranking.  Any value produces the same
+            dataset bytes: windows are evaluated speculatively but
+            committed in strict rank order.
         transport: ``"simulated"`` (the in-memory synthetic web, the
             default) or ``"http"`` — real sockets through
             :class:`~repro.crawler.transport.HttpAsyncTransport`, typically
@@ -237,8 +226,7 @@ class PipelineResult:
     record flow of the run: how long until the first site record was
     committed (to the stream writer when streaming, to the in-memory
     dataset otherwise), and the largest batch of records that was ever
-    resident awaiting commit — window-sized under windowed streaming,
-    country-sized under whole-country shards.
+    resident awaiting commit — at most one window's accepted records.
     """
 
     dataset: LangCrUXDataset
@@ -266,10 +254,10 @@ class PipelineResult:
         return sum(metric.duration_s for metric in self.shard_metrics.values())
 
 
-# -- pure per-shard functions -------------------------------------------------------
+# -- pure per-window functions ------------------------------------------------------
 #
 # Everything below takes the config (plus the prebuilt web) explicitly so it
-# can run on any executor backend, including process pools where the shard
+# can run on any executor backend, including process pools where the window
 # callable and its arguments are pickled into the worker.
 
 
@@ -431,39 +419,6 @@ def selector_for_country(config: PipelineConfig, country_code: str,
                         threshold=config.language_threshold)
 
 
-def _select_country_sites(config: PipelineConfig, country_code: str,
-                          web: SyntheticWeb, crux: CruxTable,
-                          vantage: VantagePoint | None = None,
-                          ) -> tuple[SelectionOutcome, TransportMetrics | None]:
-    """Selection + crawling for one country, releasing the transport stack.
-
-    Returns the outcome together with the stack's metrics snapshot (``None``
-    on the plain simulated fast path).  The crawl session is closed before
-    returning — pooled sockets and cache manifest handles never outlive the
-    walk, on any caller's path.
-    """
-    selector = selector_for_country(config, country_code, web, vantage)
-    session = selector.crawler.session
-    try:
-        with obs_trace.span("select", {"country": country_code,
-                                       "quota": config.sites_per_country}):
-            outcome = selector.select(crux.iter_ranked(country_code),
-                                      quota=config.sites_per_country,
-                                      max_in_flight=config.max_in_flight)
-            outcome.country_code = country_code
-    finally:
-        session.close()
-    stack = session.transport_stack
-    return outcome, stack.metrics if stack is not None else None
-
-
-def select_country_sites(config: PipelineConfig, country_code: str,
-                         web: SyntheticWeb, crux: CruxTable,
-                         vantage: VantagePoint | None = None) -> SelectionOutcome:
-    """Run selection + crawling for one country (pure per-shard)."""
-    return _select_country_sites(config, country_code, web, crux, vantage)[0]
-
-
 def record_from_crawl(crawl_record: CrawlRecord,
                       audit_engine: AuditEngine | None = None, *,
                       use_index: bool = True,
@@ -521,18 +476,6 @@ def record_from_crawl(crawl_record: CrawlRecord,
         )
 
 
-@dataclass
-class CountryShard:
-    """The complete output of one country's selection → crawl → audit shard."""
-
-    country_code: str
-    vantage: VantagePoint
-    outcome: SelectionOutcome
-    records: list[SiteRecord]
-    transport_metrics: TransportMetrics | None = None
-    perf_metrics: perf.PerfCounters | None = None
-
-
 def _slim_selected_site(selected: SelectedSite) -> SelectedSite:
     """A copy of ``selected`` with crawl payloads dropped (see below)."""
     return replace(selected,
@@ -547,67 +490,21 @@ def slim_selection_outcome(outcome: SelectionOutcome) -> None:
 
     Every selected site's page snapshots lose their HTML (url, status,
     served variant, latency and error survive) and any carried parsed
-    documents are dropped.  Streaming runs apply this as records reach disk
-    — per committed *window* on the sub-sharded path, per shard otherwise —
-    taking the run's resident state from O(selected HTML) to O(counters);
-    the records themselves were already dropped via
-    ``keep_in_memory=False``.
+    documents are dropped, taking a streaming run's resident state from
+    O(selected HTML) to O(counters).  Streaming runs apply the same step
+    per committed window (:meth:`CountryMerge.commit_window`); the records
+    themselves were already dropped via ``keep_in_memory=False``.
     """
     outcome.selected = [_slim_selected_site(selected)
                         for selected in outcome.selected]
 
 
-def execute_country_shard(config: PipelineConfig, country_code: str,
-                          web_and_crux: tuple[SyntheticWeb, CruxTable] | None = None,
-                          ) -> CountryShard:
-    """Run stages 2–4 for one country, with shard-local state only.
-
-    Args:
-        config: The pipeline configuration.
-        country_code: The shard's country.
-        web_and_crux: The prebuilt web and ranking.  ``None`` (the process
-            backend) regenerates them deterministically from ``config`` via a
-            per-process cache instead of pickling the whole web into the
-            worker.
-    """
-    web, crux = web_and_crux if web_and_crux is not None else _cached_web(config)
-    vantage = vantage_for_country(config, country_code)
-    _ensure_tracing(config)
-    # The collector activates only after web/vantage setup so that counters
-    # cover the same work on every backend (process workers regenerate the
-    # web in-process; thread workers receive it prebuilt).
-    perf_counters = perf.PerfCounters() if config.profile else None
-    with obs_trace.span("shard", {"country": country_code}), \
-            perf.collecting(perf_counters):
-        outcome, transport_metrics = _select_country_sites(config, country_code,
-                                                           web, crux, vantage)
-        audit_engine = AuditEngine()  # per-shard: concurrent audits never share state
-        records = [record_from_crawl(selected.record, audit_engine,
-                                     documents=selected.documents or None)
-                   for selected in outcome.selected]
-    # Selected sites carried their validation-time parsed documents into the
-    # record build above; strip them now so the returned shard stays light
-    # (and picklable without shipping DOM trees back from process workers).
-    outcome.selected = [replace(selected, documents=())
-                        for selected in outcome.selected]
-    # Evict the generated page HTML of every origin this shard could have
-    # crawled: the crawl is over, payloads live on the records, and a shared
-    # web must not grow with origins visited (regeneration is seeded).
-    for entry in crux.entries(country_code):
-        if entry.origin in web:
-            web.site(entry.origin).clear_page_cache()
-    return CountryShard(country_code=country_code, vantage=vantage,
-                        outcome=outcome, records=records,
-                        transport_metrics=transport_metrics,
-                        perf_metrics=perf_counters)
-
-
-# -- intra-country sub-shards --------------------------------------------------------
+# -- selection windows -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SelectionSubShard:
-    """One executor work unit of a sub-sharded selection walk.
+    """One executor work unit: a rank window of one country's ranking.
 
     Attributes:
         country_code: The country whose ranking this window belongs to.
@@ -624,28 +521,29 @@ class SelectionSubShard:
 
 def plan_selection_windows(config: PipelineConfig,
                            crux: CruxTable) -> list[SelectionSubShard]:
-    """Every sub-shard window of a run, in country-major rank order (pure).
+    """Every selection window of a run, in country-major rank order (pure).
 
-    This is *the* deterministic work split: both the in-process sub-sharded
-    merge loop and the distributed coordinator plan from it, so a window's
-    identity — and therefore its evaluation result — is a function of the
-    config alone, never of who executes it.
+    Each country's ranking is cut into windows of ``sub_shard_size``
+    candidates; without a ``sub_shard_size`` a country is one window over
+    its whole ranking.  This is *the* deterministic work split: both the
+    in-process merge loop and the distributed coordinator plan from it, so
+    a window's identity — and therefore its evaluation result — is a
+    function of the config alone, never of who executes it.
     """
-    if config.sub_shard_size is None:
-        raise ValueError("plan_selection_windows requires sub_shard_size")
     specs: list[SelectionSubShard] = []
     for country in config.countries:
+        size = crux.size(country)
+        window = max(size, 1) if config.sub_shard_size is None else config.sub_shard_size
         specs.extend(
             SelectionSubShard(country_code=country, chunk_index=chunk_index,
                               start=start, stop=stop)
-            for chunk_index, (start, stop)
-            in enumerate(plan_chunks(crux.size(country), config.sub_shard_size)))
+            for chunk_index, (start, stop) in enumerate(plan_chunks(size, window)))
     return specs
 
 
 @dataclass
 class SelectionSubShardResult:
-    """The speculative output of one sub-shard.
+    """The speculative output of one window.
 
     ``evaluations`` come back rank-ordered and slimmed for the trip home:
     documents are stripped, and non-qualifying candidates also drop their
@@ -673,6 +571,28 @@ class SelectionSubShardResult:
     trace_span: dict | None = None
 
 
+def _walk_window(config: PipelineConfig, spec: SelectionSubShard, web: SyntheticWeb,
+                 crux: CruxTable) -> tuple[list[CandidateEvaluation], TransportMetrics | None]:
+    """Crawl and measure one window, then release its crawl session.
+
+    Returns the evaluations with the transport stack's metrics snapshot
+    (``None`` on the plain simulated fast path).  The crawler and its
+    transport die on return, before any record is built.
+    """
+    selector = selector_for_country(config, spec.country_code, web)
+    session = selector.crawler.session
+    try:
+        with obs_trace.span("select", {"country": spec.country_code,
+                                       "quota": config.sites_per_country}):
+            evaluations = selector.evaluate_window(
+                crux.iter_ranked(spec.country_code), spec.start, spec.stop,
+                max_in_flight=config.max_in_flight, quota=config.sites_per_country)
+    finally:
+        session.close()
+    stack = session.transport_stack
+    return evaluations, stack.metrics if stack is not None else None
+
+
 def execute_selection_subshard(config: PipelineConfig, spec: SelectionSubShard,
                                web_and_crux: tuple[SyntheticWeb, CruxTable] | None = None,
                                filled_countries: set[str] | None = None,
@@ -686,13 +606,19 @@ def execute_selection_subshard(config: PipelineConfig, spec: SelectionSubShard,
     rank-ordered merge, so running windows out of order, concurrently or
     redundantly cannot change the outcome.
 
+    The window's span is named ``shard`` when the run is not sub-sharded
+    (the window is the whole country) and ``window`` otherwise; the walk
+    itself is a nested ``select`` span.
+
     Args:
         config: The pipeline configuration.
         spec: The window to evaluate.
-        web_and_crux: The prebuilt web and ranking (``None`` regenerates
-            them deterministically per process, as for country shards).
+        web_and_crux: The prebuilt web and ranking.  ``None`` (the process
+            backend) regenerates them deterministically from ``config`` via
+            a per-process cache instead of pickling the whole web into the
+            worker.
         filled_countries: Optional live set of countries whose quota already
-            filled; sub-shards of those return an empty ``skipped`` result
+            filled; windows of those return an empty ``skipped`` result
             without crawling.  Only same-process backends can observe
             updates (a process backend pickles the set's state at submit
             time), which is safe either way: skipping is a pure
@@ -707,33 +633,23 @@ def execute_selection_subshard(config: PipelineConfig, spec: SelectionSubShard,
     web, crux = web_and_crux if web_and_crux is not None else _cached_web(config)
     tracer = _ensure_tracing(config)
     window_span = tracer.start_span(
-        "window", {"country": spec.country_code, "chunk": spec.chunk_index,
-                   "start": spec.start, "stop": spec.stop}) \
+        "shard" if config.sub_shard_size is None else "window",
+        {"country": spec.country_code, "chunk": spec.chunk_index,
+         "start": spec.start, "stop": spec.stop}) \
         if tracer is not None else None
-    selector = selector_for_country(config, spec.country_code, web)
     perf_counters = perf.PerfCounters() if config.profile else None
     try:
-        try:
-            with perf.collecting(perf_counters):
-                evaluations = selector.evaluate_window(
-                    crux.iter_ranked(spec.country_code), spec.start, spec.stop,
-                    max_in_flight=config.max_in_flight)
-                audit_engine = AuditEngine()  # per-sub-shard: never shared across workers
-                records: list[SiteRecord | None] = []
-                slimmed: list[CandidateEvaluation] = []
-                for evaluation in evaluations:
-                    qualifies = (evaluation.fetch_succeeded
-                                 and evaluation.native_share >= config.language_threshold)
-                    records.append(record_from_crawl(evaluation.record, audit_engine,
-                                                     documents=evaluation.documents or None)
-                                   if qualifies else None)
-                    slim = evaluation.without_documents()
-                    if not qualifies and slim.record.pages:
-                        slim = replace(slim, record=replace(slim.record, pages=[]))
-                    slimmed.append(slim)
-        finally:
-            session = selector.crawler.session
-            session.close()
+        with perf.collecting(perf_counters):
+            evaluations, transport_metrics = _walk_window(config, spec, web, crux)
+            audit_engine = AuditEngine()  # per window: never shared across workers
+            records: list[SiteRecord | None] = []
+            slimmed: list[CandidateEvaluation] = []
+            for evaluation in evaluations:
+                records.append(record_from_crawl(evaluation.record, audit_engine,
+                                                 documents=evaluation.documents or None)
+                               if evaluation.qualifies(config.language_threshold)
+                               else None)
+                slimmed.append(evaluation.without_documents())
         # The window's crawl is over and every retained payload now lives on the
         # evaluations/records above; evict the synthetic origins' generated page
         # HTML so the (possibly shared) web does not grow with every origin
@@ -741,10 +657,9 @@ def execute_selection_subshard(config: PipelineConfig, spec: SelectionSubShard,
         for entry in crux.entries(spec.country_code)[spec.start:spec.stop]:
             if entry.origin in web:
                 web.site(entry.origin).clear_page_cache()
-        stack = session.transport_stack
         return SelectionSubShardResult(
             spec=spec, evaluations=slimmed, records=records,
-            transport_metrics=stack.metrics if stack is not None else None,
+            transport_metrics=transport_metrics,
             perf_metrics=perf_counters,
             trace_span=({"trace": tracer.trace_id,
                          "span": window_span.span_id,
@@ -759,83 +674,127 @@ def execute_selection_subshard(config: PipelineConfig, spec: SelectionSubShard,
             tracer.writer.flush()
 
 
-@dataclass
-class _CountryMergeState:
-    """Accumulator for one country while its sub-shards stream in.
+# -- the merge ---------------------------------------------------------------------------
 
-    Holds no site records: accepted records are committed to the run's
-    :class:`RecordSink` the moment their window commits, so the state
-    carries only counters and metrics — the memory contract of windowed
-    streaming.
+
+@dataclass
+class CountryMerge:
+    """One country's rank-order merge: window results in, records out.
+
+    The single-host merge loop and the distributed coordinator both commit
+    every window through :meth:`commit_window` and close the country with
+    :meth:`finalize`.  The state holds no site records: accepted payloads
+    go to the run's :class:`RecordSink` the moment their window commits,
+    so it carries only the committer and counters — the memory contract of
+    windowed streaming.
     """
 
     country_code: str
     index: int
     committer: RankOrderCommitter
-    remaining_chunks: int
+    remaining_windows: int = 0
     records_committed: int = 0
+    windows_merged: int = 0
     duration_s: float = 0.0
-    sub_shards_merged: int = 0
     done: bool = False
-    transport_metrics: TransportMetrics | None = None
-    perf_metrics: perf.PerfCounters | None = None
 
-    def merge_transport(self, metrics: TransportMetrics | None) -> None:
-        if metrics is None:
-            return
-        if self.transport_metrics is None:
-            self.transport_metrics = TransportMetrics()
-        self.transport_metrics.merge(metrics)
+    @classmethod
+    def for_country(cls, config: PipelineConfig, country_code: str,
+                    index: int) -> "CountryMerge":
+        return cls(country_code=country_code, index=index,
+                   committer=RankOrderCommitter(config.sites_per_country,
+                                                config.language_threshold,
+                                                country_code=country_code))
 
-    def merge_perf(self, counters: perf.PerfCounters | None) -> None:
-        if counters is None:
-            return
-        if self.perf_metrics is None:
-            self.perf_metrics = perf.PerfCounters()
-        self.perf_metrics.merge(counters)
+    def commit_window(self, evaluations: Sequence[CandidateEvaluation],
+                      payloads: Sequence[SiteRecord | str | None],
+                      duration_s: float,
+                      commit: Callable[[str, list], None], *,
+                      slim: bool = False) -> int:
+        """Commit one window's rank-ordered evaluations; returns records committed.
+
+        ``payloads`` is aligned with ``evaluations``: the window's worker
+        built one for exactly the candidates the committer can accept (same
+        fetch + threshold rule) — a :class:`SiteRecord` single-host, its
+        serialized JSONL line in a distributed build.  The accepted ones go
+        to ``commit`` (:meth:`RecordSink.commit` or
+        :meth:`RecordSink.commit_serialized`) at once: windows commit in
+        rank order and countries finalize in configured order, so
+        committing mid-country still writes the stream in exactly the
+        sequential byte order.  With ``slim`` the just-committed slice of
+        the outcome drops its crawl payloads in the same step.
+        """
+        accepted: list = []
+        for evaluation, payload in zip(evaluations, payloads):
+            if self.committer.filled:
+                break
+            if self.committer.commit(evaluation) is not None:
+                assert payload is not None
+                accepted.append(payload)
+        commit(self.country_code, accepted)
+        self.records_committed += len(accepted)
+        self.windows_merged += 1
+        self.duration_s += duration_s
+        if slim and accepted:
+            selected = self.committer.outcome.selected
+            selected[-len(accepted):] = [_slim_selected_site(site)
+                                         for site in selected[-len(accepted):]]
+        return len(accepted)
+
+    def finalize(self, sink: "RecordSink") -> ShardMetrics:
+        """Close the country's writer section; returns its shard metrics."""
+        self.done = True
+        sink.finish_country(self.country_code)
+        return ShardMetrics(shard=self.country_code, index=self.index,
+                            duration_s=self.duration_s,
+                            records=self.records_committed,
+                            sub_shards=self.windows_merged)
 
 
 @dataclass
 class _RunTotals:
     """Run-level transport/perf aggregation.
 
-    Per-country shards merge their metrics here, and the sub-sharded merge
-    loop folds the cost of *late* speculative windows — windows whose
-    country had already finalized when their result arrived, including
-    windows still in flight when the last country finalized — directly into
-    these totals, so ``PipelineResult.transport_metrics`` /
-    ``perf_metrics`` account for every window that actually ran.
+    Every window result that ran — committed, or speculative and discarded
+    because its country had already finalized — merges its metrics here,
+    so ``transport_metrics`` / ``perf_metrics`` account for all of them.
     """
 
     transport: TransportMetrics | None = None
     perf: perf.PerfCounters | None = None
 
-    def merge_transport(self, metrics: TransportMetrics | None) -> None:
-        if metrics is None:
-            return
-        if self.transport is None:
-            self.transport = TransportMetrics()
-        self.transport.merge(metrics)
+    def merge(self, transport: TransportMetrics | None,
+              counters: perf.PerfCounters | None) -> None:
+        if transport is not None:
+            if self.transport is None:
+                self.transport = TransportMetrics()
+            self.transport.merge(transport)
+        if counters is not None:
+            if self.perf is None:
+                self.perf = perf.PerfCounters()
+            self.perf.merge(counters)
 
-    def merge_perf(self, counters: perf.PerfCounters | None) -> None:
-        if counters is None:
-            return
+    def stamp_gauges(self, sink: "RecordSink") -> None:
+        """Add the process's memory peaks and the sink's record-flow gauges."""
         if self.perf is None:
-            self.perf = perf.PerfCounters()
-        self.perf.merge(counters)
+            return
+        for name, value in perf.memory_gauges().items():
+            self.perf.gauge(name, value)
+        if sink.first_record_s is not None:
+            self.perf.gauge("stream.first_record_s", sink.first_record_s)
+        self.perf.gauge("stream.buffer_peak_records", float(sink.buffer_peak))
 
 
 class RecordSink:
     """Routes committed site records to disk and/or memory as they commit.
 
-    One sink serves a whole run.  Windowed streaming hands it one window's
-    records at a time; whole-country shards hand it a country's records at
-    once; the distributed coordinator hands it pre-serialized record lines
-    decoded from worker result files (:meth:`commit_serialized`).  The sink
-    opens a writer *section* per country lazily on the country's first
-    record and closes it via :meth:`finish_country`, so a country's lines
-    land contiguously no matter how many windows they arrive in, and the
-    writer refuses to commit while a country is half-written.
+    One sink serves a whole run.  The merge hands it one window's records
+    at a time; the distributed coordinator hands it pre-serialized record
+    lines decoded from worker result files (:meth:`commit_serialized`).
+    The sink opens a writer *section* per country lazily on the country's
+    first record and closes it via :meth:`finish_country`, so a country's
+    lines land contiguously no matter how many windows they arrive in, and
+    the writer refuses to commit while a country is half-written.
 
     It also observes the record flow: ``committed`` (total records),
     ``first_record_s`` (time from sink creation to the first committed
@@ -906,10 +865,6 @@ class RecordSink:
             self._open_country = None
 
 
-#: Backwards-compatible private alias (the sink predates the dist package).
-_RecordSink = RecordSink
-
-
 class LangCrUXPipeline:
     """Builds a LangCrUX dataset over the synthetic web."""
 
@@ -936,20 +891,7 @@ class LangCrUXPipeline:
         """The crawl vantage for a country under the current configuration."""
         return vantage_for_country(self.config, country_code)
 
-    # -- stage 3: selection + crawl -----------------------------------------------------
-
-    def select_country(self, country_code: str) -> SelectionOutcome:
-        """Run selection + crawling for one country."""
-        web, crux = self.build_web()
-        return select_country_sites(self.config, country_code, web, crux)
-
-    # -- stage 4: extraction + audit ------------------------------------------------------
-
-    def record_from_crawl(self, crawl_record: CrawlRecord) -> SiteRecord:
-        """Extraction + audit of one crawled origin."""
-        return record_from_crawl(crawl_record)
-
-    # -- stage 5: the dataset ------------------------------------------------------------------
+    # -- stages 3-5: selection windows, merged into the dataset -------------------------
 
     def _executor(self) -> PipelineExecutor:
         return create_executor(self.config.executor, self.config.workers)
@@ -960,36 +902,38 @@ class LangCrUXPipeline:
             slim_outcomes: bool | None = None) -> PipelineResult:
         """Execute the full pipeline for every configured country.
 
-        Shards are dispatched on the configured executor (or an explicit
-        ``executor`` argument) and their finished records stream back
-        through a bounded queue; the reorder buffer of ``run_ordered``
-        assembles the dataset in the configured country order, so the
-        output is identical for every backend and worker count.
+        Every country's ranking is planned as selection windows
+        (:func:`plan_selection_windows`: one window per country, or
+        ``sub_shard_size``-candidate windows when set).  The windows are
+        dispatched on the configured executor (or an explicit ``executor``
+        argument), and ``run_ordered`` hands their results back in plan
+        order.  Each result is committed through its country's
+        :class:`CountryMerge` in strict rank order, so the output is
+        identical for every backend, worker count and window size.
 
         Args:
             executor: Overrides the configured execution backend.
             stream_to: Stream records to this JSONL path as they commit,
                 through an atomically-committed
-                :class:`~repro.core.dataset.StreamingDatasetWriter`.  On a
-                sub-sharded run records reach the writer per committed
-                *window* — first bytes land while the first country is
-                still crawling — inside per-country writer sections;
-                otherwise per country shard.  Either way commit order
-                matches the sequential merge order, so the streamed file is
-                byte-identical to ``save_jsonl`` of the in-memory dataset;
-                a failed run leaves the destination untouched.
+                :class:`~repro.core.dataset.StreamingDatasetWriter`.
+                Records reach the writer per committed window — on a
+                sub-sharded run first bytes land while the first country is
+                still crawling — inside per-country writer sections.  Commit
+                order matches the sequential merge order, so the streamed
+                file is byte-identical to ``save_jsonl`` of the in-memory
+                dataset; a failed run leaves the destination untouched.
             keep_in_memory: Whether to also accumulate the records on
                 ``PipelineResult.dataset``.  Pass ``False`` (streaming runs
                 only) when the dataset is consumed from the streamed file:
                 site records are then dropped as soon as they are on disk.
             slim_outcomes: Whether to strip crawl payloads (page HTML,
-                carried documents) from each shard's selection outcome once
-                its records are safely accumulated/streamed, keeping only
-                counters and per-page metadata (see
-                :func:`slim_selection_outcome`).  Default (``None``): slim
-                exactly when ``keep_in_memory`` is off — a streaming run's
-                resident state then stays O(counters) instead of retaining
-                every selected page's HTML for the whole run.
+                carried documents) from the selection outcomes as each
+                window's records are committed, keeping only counters and
+                per-page metadata (see :func:`slim_selection_outcome`).
+                Default (``None``): slim exactly when ``keep_in_memory`` is
+                off — a streaming run's resident state then stays
+                O(counters) instead of retaining every selected page's HTML
+                for the whole run.
         """
         if not keep_in_memory and stream_to is None:
             raise ValueError("keep_in_memory=False requires stream_to: "
@@ -1016,15 +960,11 @@ class LangCrUXPipeline:
         try:
             web, crux = self.build_web()
             backend = executor if executor is not None else self._executor()
+            specs = plan_selection_windows(self.config, crux)
             dataset = LangCrUXDataset()
             writer = StreamingDatasetWriter(stream_to) if stream_to is not None else None
             sink = RecordSink(writer, dataset if keep_in_memory else None)
             totals = _RunTotals()
-            if self.config.sub_shard_size is not None:
-                shard_stream = self._run_subsharded(backend, web, crux, sink, totals,
-                                                    slim_records=slim_outcomes)
-            else:
-                shard_stream = self._run_country_shards(backend, web, crux, sink)
             outcomes: dict[str, SelectionOutcome] = {}
             vantages: dict[str, VantagePoint] = {}
             metrics: dict[str, ShardMetrics] = {}
@@ -1037,14 +977,12 @@ class LangCrUXPipeline:
                              "countries_total": len(self.config.countries)})
                 reporter.start()
             try:
-                for shard, metric in shard_stream:
-                    vantages[shard.country_code] = shard.vantage
-                    outcomes[shard.country_code] = shard.outcome
-                    if slim_outcomes:
-                        slim_selection_outcome(shard.outcome)
-                    totals.merge_transport(shard.transport_metrics)
-                    totals.merge_perf(shard.perf_metrics)
-                    metrics[shard.country_code] = metric
+                for outcome, metric in self._run_windows(backend, specs, web, crux,
+                                                         sink, totals,
+                                                         slim=slim_outcomes):
+                    vantages[metric.shard] = vantage_for_country(self.config, metric.shard)
+                    outcomes[metric.shard] = outcome
+                    metrics[metric.shard] = metric
             except BaseException:
                 if writer is not None:
                     writer.abort()
@@ -1061,25 +999,12 @@ class LangCrUXPipeline:
             if tracer is not None:
                 tracer.end_span(root_span)
                 obs_trace.disable()
-        if totals.perf is not None:
-            for name, value in perf.memory_gauges().items():
-                totals.perf.gauge(name, value)
-            if sink.first_record_s is not None:
-                totals.perf.gauge("stream.first_record_s", sink.first_record_s)
-            totals.perf.gauge("stream.buffer_peak_records", float(sink.buffer_peak))
-        # Usable workers are capped by the number of work units: countries,
-        # or sub-shard windows when the walk is sub-sharded (the whole point
-        # of sub-sharding is that this cap exceeds the country count).
-        if self.config.sub_shard_size is not None:
-            work_units = sum(
-                len(plan_chunks(crux.size(country), self.config.sub_shard_size))
-                for country in self.config.countries)
-        else:
-            work_units = len(self.config.countries)
+        totals.stamp_gauges(sink)
         return PipelineResult(dataset=dataset, crux_table=crux, web=web,
                               selection_outcomes=outcomes, vantages=vantages,
                               shard_metrics=metrics, executor_name=backend.name,
-                              executor_workers=min(backend.workers, work_units),
+                              # Usable workers are capped by the work units.
+                              executor_workers=min(backend.workers, len(specs)),
                               stream_path=Path(stream_to) if stream_to is not None else None,
                               streamed_records=streamed,
                               transport_metrics=totals.transport,
@@ -1087,73 +1012,33 @@ class LangCrUXPipeline:
                               time_to_first_record_s=sink.first_record_s,
                               record_buffer_peak=sink.buffer_peak)
 
-    def _run_country_shards(self, backend: PipelineExecutor, web: SyntheticWeb,
-                            crux: CruxTable, sink: RecordSink,
-                            ) -> Iterator[tuple[CountryShard, ShardMetrics]]:
-        """Dispatch whole-country shards, yielding them in configured order.
+    def _run_windows(self, backend: PipelineExecutor, specs: list[SelectionSubShard],
+                     web: SyntheticWeb, crux: CruxTable, sink: RecordSink,
+                     totals: _RunTotals, *, slim: bool,
+                     ) -> Iterator[tuple[SelectionOutcome, ShardMetrics]]:
+        """Dispatch selection windows and merge them into finalized countries.
 
-        Each shard's records are handed to ``sink`` (and dropped from the
-        shard) before the shard is yielded, so the caller's loop never
-        holds record payloads.
-        """
-        # Process workers rebuild the (lazily generated) web from the config
-        # instead of receiving a pickled copy — unless the web was supplied
-        # explicitly and cannot be derived from the config.
-        if isinstance(backend, ProcessExecutor) and not self._web_supplied:
-            shard_fn = functools.partial(execute_country_shard, self.config)
-        else:
-            shard_fn = functools.partial(execute_country_shard, self.config,
-                                         web_and_crux=(web, crux))
-        for result in backend.run_ordered(shard_fn, list(self.config.countries)):
-            shard: CountryShard = result.value
-            metric = ShardMetrics(shard=shard.country_code, index=result.index,
-                                  duration_s=result.duration_s,
-                                  records=len(shard.records))
-            sink.commit(shard.country_code, shard.records)
-            sink.finish_country(shard.country_code)
-            shard.records = []
-            yield shard, metric
-
-    def _run_subsharded(self, backend: PipelineExecutor, web: SyntheticWeb,
-                        crux: CruxTable, sink: RecordSink, totals: _RunTotals,
-                        *, slim_records: bool,
-                        ) -> Iterator[tuple[CountryShard, ShardMetrics]]:
-        """Dispatch intra-country sub-shards and reassemble country shards.
-
-        Sub-shards are submitted country by country in configured order (so
+        Windows are submitted country by country in configured order (so
         ``run_ordered`` delivers each country's windows contiguously and in
-        rank order) and their speculative evaluations are committed through
-        per-country :class:`~repro.core.site_selection.RankOrderCommitter`s.
-        A country finalizes — and is yielded, preserving the streaming
-        order — as soon as its quota fills or its ranking exhausts; its
-        remaining sub-shards are skipped via the shared filled flag or
-        discarded on arrival.  Once every country has finalized, the
-        executor stream is drained (folding the cost of still-in-flight
+        rank order) and committed through the country's
+        :class:`CountryMerge`, which hands accepted records to ``sink`` per
+        committed window.  A country finalizes — and is yielded, preserving
+        the streaming order — as soon as its quota fills or its ranking
+        exhausts; its remaining windows are skipped via the shared filled
+        flag or discarded on arrival.  Once every country has finalized,
+        the executor stream is drained (folding the cost of still-in-flight
         speculative windows into ``totals``) and closed.
 
-        Records flow through ``sink`` per *committed window*: each batch of
-        newly accepted records is committed the moment its window merges,
-        and — with ``slim_records`` — the matching slice of
-        ``outcome.selected`` is slimmed in the same step, so resident state
-        is bounded by in-flight windows instead of whole countries.
-        Speculative results for non-frontier countries cannot pile up
-        either: the thread backend's bounded result queue and the process
-        backend's bounded lazy submission window cap undelivered results at
-        O(workers + queue) windows.
+        Resident state is bounded by in-flight windows, not whole
+        countries: the thread backend's bounded result queue and the
+        process backend's bounded lazy submission window cap undelivered
+        results at O(workers + queue) windows.
         """
         config = self.config
-        assert config.sub_shard_size is not None
-        specs = plan_selection_windows(config, crux)
-        states: dict[str, _CountryMergeState] = {}
-        for position, country in enumerate(config.countries):
-            states[country] = _CountryMergeState(
-                country_code=country, index=position,
-                committer=RankOrderCommitter(config.sites_per_country,
-                                             config.language_threshold,
-                                             country_code=country),
-                remaining_chunks=0)
+        merges = {country: CountryMerge.for_country(config, country, position)
+                  for position, country in enumerate(config.countries)}
         for spec in specs:
-            states[spec.country_code].remaining_chunks += 1
+            merges[spec.country_code].remaining_windows += 1
         filled: set[str] = set()
         if isinstance(backend, ProcessExecutor):
             # Workers in other processes cannot observe the live flag (and
@@ -1165,88 +1050,43 @@ class LangCrUXPipeline:
             # scheduled, bounding speculation waste to in-flight windows on
             # every backend.
             web_and_crux = (web, crux) if self._web_supplied else None
-            subshard_fn = functools.partial(execute_selection_subshard, config,
-                                            web_and_crux=web_and_crux)
+            window_fn = functools.partial(execute_selection_subshard, config,
+                                          web_and_crux=web_and_crux)
             work: Sequence[SelectionSubShard] | Iterator[SelectionSubShard] = (
                 spec for spec in specs if spec.country_code not in filled)
         else:
-            subshard_fn = functools.partial(execute_selection_subshard, config,
-                                            web_and_crux=(web, crux),
-                                            filled_countries=filled)
+            window_fn = functools.partial(execute_selection_subshard, config,
+                                          web_and_crux=(web, crux),
+                                          filled_countries=filled)
             work = specs
-        order = list(config.countries)
+        order = [merges[country] for country in config.countries]
         finalized = 0
 
-        def finalize(state: _CountryMergeState) -> tuple[CountryShard, ShardMetrics]:
-            state.done = True
-            filled.add(state.country_code)
-            sink.finish_country(state.country_code)
-            shard = CountryShard(
-                country_code=state.country_code,
-                vantage=vantage_for_country(config, state.country_code),
-                outcome=state.committer.outcome,
-                records=[],
-                transport_metrics=state.transport_metrics,
-                perf_metrics=state.perf_metrics)
-            metric = ShardMetrics(shard=state.country_code, index=state.index,
-                                  duration_s=state.duration_s,
-                                  records=state.records_committed,
-                                  sub_shards=state.sub_shards_merged)
-            return shard, metric
+        def finalize(merge: CountryMerge) -> tuple[SelectionOutcome, ShardMetrics]:
+            filled.add(merge.country_code)
+            return merge.committer.outcome, merge.finalize(sink)
 
-        stream = backend.run_ordered(subshard_fn, work)
+        stream = backend.run_ordered(window_fn, work)
         try:
             for result in stream:
-                sub: SelectionSubShardResult = result.value
-                state = states[sub.spec.country_code]
-                if state.done:
-                    # Quota filled earlier; the speculation is discarded but
-                    # its cost still lands in the run-level totals.
-                    totals.merge_transport(sub.transport_metrics)
-                    totals.merge_perf(sub.perf_metrics)
+                window: SelectionSubShardResult = result.value
+                # Every window that ran lands in the run totals, including
+                # speculation discarded because its country already filled.
+                totals.merge(window.transport_metrics, window.perf_metrics)
+                merge = merges[window.spec.country_code]
+                if merge.done:
                     continue
-                state.duration_s += result.duration_s
-                state.merge_transport(sub.transport_metrics)
-                state.merge_perf(sub.perf_metrics)
-                if not sub.skipped:
-                    state.sub_shards_merged += 1
-                    record_for = {evaluation.entry: record
-                                  for evaluation, record
-                                  in zip(sub.evaluations, sub.records)}
-                    accepted = state.committer.commit_chunk(sub.evaluations)
-                    window_records: list[SiteRecord] = []
-                    for evaluation, _site in accepted:
-                        # Workers build records for exactly the candidates
-                        # the committer accepts (same succeeded + threshold
-                        # rule).
-                        record = record_for[evaluation.entry]
-                        assert record is not None
-                        window_records.append(record)
-                    if window_records:
-                        # Rank-order commit serializes windows and countries
-                        # finalize in submission order, so committing here —
-                        # mid-country — still writes the stream in exactly
-                        # the sequential byte order.
-                        sink.commit(state.country_code, window_records)
-                        state.records_committed += len(window_records)
-                    if slim_records and accepted:
-                        # Slim the just-committed slice of the outcome now
-                        # that its records are safely on disk, instead of
-                        # waiting for the whole country.
-                        selected = state.committer.outcome.selected
-                        for i in range(len(selected) - len(accepted),
-                                       len(selected)):
-                            selected[i] = _slim_selected_site(selected[i])
-                state.remaining_chunks -= 1
+                merge.commit_window(window.evaluations, window.records,
+                                    result.duration_s, sink.commit, slim=slim)
+                merge.remaining_windows -= 1
+                # Drop the committed payloads: the executor may still hold
+                # this result while it runs the next window.
+                window.evaluations = window.records = []
                 # Finalize the frontier of completed countries in configured
                 # order; zero-window countries finalize when reached.
-                while finalized < len(order):
-                    frontier = states[order[finalized]]
-                    if not frontier.done and not (frontier.committer.filled
-                                                  or frontier.remaining_chunks == 0):
-                        break
-                    if not frontier.done:
-                        yield finalize(frontier)
+                while finalized < len(order) and (order[finalized].committer.filled
+                                                  or order[finalized].remaining_windows == 0):
+                    yield finalize(order[finalized])
                     finalized += 1
                 if finalized == len(order):
                     # Every country is final; what remains in the stream is
@@ -1255,17 +1095,13 @@ class LangCrUXPipeline:
                     # (queued-but-unstarted windows short-circuit as cheap
                     # ``skipped`` results or are never submitted at all),
                     # then close, which cancels nothing still pending.
-                    for result in stream:
-                        late: SelectionSubShardResult = result.value
-                        totals.merge_transport(late.transport_metrics)
-                        totals.merge_perf(late.perf_metrics)
+                    for late in stream:
+                        totals.merge(late.value.transport_metrics,
+                                     late.value.perf_metrics)
                     break
         finally:
             stream.close()
-        # Countries with no sub-shards at all (empty rankings) never appear
-        # in the stream; flush them so every configured country reports.
-        while finalized < len(order):
-            state = states[order[finalized]]
-            if not state.done:
-                yield finalize(state)
-            finalized += 1
+        # Countries with no windows at all (empty rankings) never appear in
+        # the stream; flush them so every configured country reports.
+        for merge in order[finalized:]:
+            yield finalize(merge)

@@ -27,26 +27,23 @@ The walk is split into two halves with different freedom to parallelise:
   uncounted, so the selected set, every rejection counter and the resulting
   records are byte-identical to the strictly sequential walk.
 
-Two dispatch modes share those halves:
+One walk serves every backend: the **window**.  A window is a rank
+slice ``[start, stop)`` of one country's ranking, and
+:meth:`SiteSelector.evaluate_window` walks it on one event loop,
+``max_in_flight`` candidates at a time, stopping after the batch in which
+its own would-qualify count reaches the quota (no window can hand the
+committer more than ``quota`` acceptable sites, so nothing past that batch
+could ever commit).  A whole country is the window ``[0, len(ranking))``,
+and :meth:`SiteSelector.select` is that window committed in rank order;
+``max_in_flight == 1`` then crawls exactly the candidates of the strictly
+sequential reference walk.  Sub-sharded, pooled and distributed runs cut
+the ranking into smaller windows, evaluate them wherever they like and
+merge them through one committer per country (see
+:mod:`repro.core.pipeline`), which is what lets a run dominated by one
+large country use every worker.
 
-* the **windowed walk** (no ``sub_shard_size``) — evaluate up to
-  ``max_in_flight`` candidates at once on one event loop, commit them in
-  rank order, repeat; ``max_in_flight == 1`` is the strictly sequential
-  reference walk;
-* the **sub-sharded walk** (``sub_shard_size`` + an executor from
-  :mod:`repro.core.executor`) — chunk the ranking into fixed-size
-  sub-shards, evaluate whole sub-shards speculatively on executor workers,
-  and merge their outcomes through the committer.  Sub-shards queued after
-  the quota fills are skipped (serial/thread backends observe the filled
-  flag) or cancelled when the consumer stops iterating; results that still
-  arrive are discarded by the committer.  This is what lets a run dominated
-  by one large country use every worker.
-
-The crawl layer below is ``async`` throughout.  Each unit of work enters
-the event loop exactly once: :meth:`SiteSelector.select` once per country
-shard, :meth:`SiteSelector.evaluate_chunk` (and so
-:meth:`SiteSelector.evaluate_window`) once per sub-shard or distributed
-window.
+The crawl layer below is ``async`` throughout; each window enters the
+event loop exactly once.
 
 Evaluations also carry the parsed :class:`~repro.html.dom.Document` of each
 page (with its cached :class:`~repro.html.index.DocumentIndex` built while
@@ -58,11 +55,10 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator
 
 from repro import perf
-from repro.core.executor import PipelineExecutor, plan_chunks
 from repro.crawler.crawler import LangCruxCrawler
 from repro.crawler.fetcher import gather_bounded
 from repro.crawler.records import CrawlRecord
@@ -114,6 +110,10 @@ class CandidateEvaluation:
     def __post_init__(self) -> None:
         if self.fetch_succeeded is None:
             object.__setattr__(self, "fetch_succeeded", self.record.succeeded)
+
+    def qualifies(self, threshold: float) -> bool:
+        """Whether the committer would accept this evaluation."""
+        return bool(self.fetch_succeeded) and self.native_share >= threshold
 
     def without_documents(self) -> "CandidateEvaluation":
         """A copy safe to pickle across process boundaries."""
@@ -211,22 +211,13 @@ class SiteSelector:
         crawler: A crawler bound to the country's vantage point.
         language_code: The country's target language.
         threshold: Minimum visible-text native share (0.5 in the paper).
-        crawler_factory: Optional factory for per-chunk crawlers.  The
-            sub-sharded walk evaluates chunks on executor workers; with a
-            factory every chunk gets its own crawler (own session, robots
-            cache and virtual clock), so concurrent chunks share no mutable
-            crawl state.  Without one, chunks share ``crawler`` — fine for
-            the serial backend, and for thread backends whose transport is
-            thread-safe and single-page crawls.
     """
 
     def __init__(self, crawler: LangCruxCrawler, language_code: str, *,
-                 threshold: float = 0.5,
-                 crawler_factory: Callable[[], LangCruxCrawler] | None = None) -> None:
+                 threshold: float = 0.5) -> None:
         self.crawler = crawler
         self.language_code = language_code
         self.threshold = threshold
-        self.crawler_factory = crawler_factory
         self._detector = ScriptDetector(language_code)
 
     # -- speculative evaluation -------------------------------------------------
@@ -242,127 +233,74 @@ class SiteSelector:
         return CandidateEvaluation(entry=entry, record=record, native_share=share,
                                    documents=documents)
 
-    async def evaluate(self, entry: CruxEntry,
-                       crawler: LangCruxCrawler | None = None) -> CandidateEvaluation:
+    async def evaluate(self, entry: CruxEntry) -> CandidateEvaluation:
         """Crawl and measure one candidate speculatively."""
-        crawler = crawler or self.crawler
-        return self._evaluation(entry, await crawler.crawl_origin(entry, self.language_code))
+        return self._evaluation(entry, await self.crawler.crawl_origin(entry, self.language_code))
 
-    async def _evaluate_all(self, entries: list[CruxEntry], crawler: LangCruxCrawler,
-                            max_in_flight: int) -> list[CandidateEvaluation]:
-        """Evaluate ``entries`` with up to ``max_in_flight`` in flight, in entry order."""
-        return await gather_bounded(lambda entry: self.evaluate(entry, crawler), entries,
-                                    max_in_flight=max_in_flight)
-
-    def evaluate_chunk(self, entries: Sequence[CruxEntry] | Iterable[CruxEntry], *,
-                       max_in_flight: int = 1) -> list[CandidateEvaluation]:
-        """Speculatively evaluate a rank-contiguous chunk of candidates.
-
-        The chunk is crawled on one event loop, through a chunk-local
-        crawler when a ``crawler_factory`` is configured, with up to
-        ``max_in_flight`` candidates in flight.  Results come back in entry
-        order.
-        """
-        entry_list = list(entries)
-        if not entry_list:
-            return []
-        crawler = self.crawler_factory() if self.crawler_factory is not None else self.crawler
-        return asyncio.run(self._evaluate_all(entry_list, crawler, max_in_flight))
-
-    def evaluate_window(self, candidates: Iterable[CruxEntry], start: int, stop: int,
-                        *, max_in_flight: int = 1) -> list[CandidateEvaluation]:
+    def evaluate_window(self, candidates: Iterable[CruxEntry], start: int,
+                        stop: int | None, *, max_in_flight: int = 1,
+                        quota: int | None = None) -> list[CandidateEvaluation]:
         """Evaluate the rank window ``[start, stop)`` of ``candidates``.
 
-        Only the window itself is ever materialized: resident entry state
-        is O(stop - start) regardless of ``max_in_flight``, so deeply
-        speculative workers (distributed crawls hand every worker a large
-        ``max_in_flight``) cannot regrow an O(ranking) memory term per
-        window.  The ``sel.window_entries_peak`` gauge pins that bound.
-        """
-        entry_list = list(itertools.islice(candidates, start, stop))
-        perf.gauge("sel.window_entries_peak", float(len(entry_list)))
-        return self.evaluate_chunk(entry_list, max_in_flight=max_in_flight)
+        The window is walked lazily on one event loop, ``max_in_flight``
+        candidates at a time, and results come back in rank order.  With a
+        ``quota`` the walk stops after the batch in which the window's own
+        would-qualify count reaches it: the rank-order committer can accept
+        at most ``quota`` sites, so no later candidate of the window could
+        commit.  ``stop=None`` walks to the end of the ranking.
 
-    # -- the walks ----------------------------------------------------------------
+        Only one batch of entries is materialized at a time, so resident
+        entry state is O(min(max_in_flight, stop - start)) however deep the
+        speculation (distributed workers hand every window a large
+        ``max_in_flight``); the ``sel.window_entries_peak`` gauge pins that
+        bound.  Evaluations that cannot qualify drop their parsed documents
+        and page snapshots at once.
+        """
+        if max_in_flight < 1:
+            raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
+        entries = itertools.islice(candidates, start, stop)
+        return asyncio.run(self._walk(entries, max_in_flight, quota))
+
+    async def _walk(self, entries: Iterator[CruxEntry], max_in_flight: int,
+                    quota: int | None) -> list[CandidateEvaluation]:
+        evaluations: list[CandidateEvaluation] = []
+        qualified = 0
+        batch_peak = 0
+        while quota is None or qualified < quota:
+            batch = list(itertools.islice(entries, max_in_flight))
+            if not batch:
+                break
+            batch_peak = max(batch_peak, len(batch))
+            for evaluation in await gather_bounded(self.evaluate, batch,
+                                                   max_in_flight=max_in_flight):
+                if evaluation.qualifies(self.threshold):
+                    qualified += 1
+                elif evaluation.documents or evaluation.record.pages:
+                    # Only a rejected candidate's verdict is ever read.
+                    evaluation = replace(evaluation, documents=(),
+                                         record=replace(evaluation.record, pages=[]))
+                evaluations.append(evaluation)
+        perf.gauge("sel.window_entries_peak", float(batch_peak))
+        return evaluations
+
+    # -- the walk ---------------------------------------------------------------
 
     def select(self, candidates: Iterable[CruxEntry], quota: int, *,
-               max_in_flight: int = 1,
-               executor: PipelineExecutor | None = None,
-               sub_shard_size: int | None = None) -> SelectionOutcome:
+               max_in_flight: int = 1) -> SelectionOutcome:
         """Walk ``candidates`` in rank order until ``quota`` sites qualify.
 
         Candidates that fail to fetch (VPN-blocked, persistent errors) or
         fall below the language threshold are skipped and replaced by the
         next candidate, exactly the paper's replacement rule.
 
-        The walk evaluates ``max_in_flight`` candidates at a time on one
-        event loop (one ``asyncio.run`` per ``select`` call, not per batch or
-        fetch) and commits them in rank order; ``max_in_flight=1`` evaluates
-        one candidate at a time.
-
-        With ``sub_shard_size`` set, the ranking is chunked into sub-shards
-        of that size which are evaluated speculatively on ``executor``
-        (serial when none is given) and committed in strict rank order; see
-        the module docstring.  ``max_in_flight`` then applies within each
-        sub-shard.
-
-        Every mode evaluates speculatively but commits strictly in rank
-        order, so the outcome — selected set, rejection counters,
-        ``candidates_examined`` — is byte-identical to the sequential walk
-        for every ``(executor, workers, sub_shard_size, max_in_flight)``
-        combination.
+        This is the whole ranking as one window: :meth:`evaluate_window`
+        walks it ``max_in_flight`` candidates at a time and a
+        :class:`RankOrderCommitter` commits the result, so the outcome —
+        selected set, rejection counters, ``candidates_examined`` — is the
+        same for every ``max_in_flight``.
         """
-        if max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
-        if sub_shard_size is not None:
-            return self._select_subsharded(candidates, quota,
-                                           executor=executor,
-                                           sub_shard_size=sub_shard_size,
-                                           max_in_flight=max_in_flight)
         committer = RankOrderCommitter(quota, self.threshold)
-        asyncio.run(self._select_windows(iter(candidates), committer, max_in_flight))
-        return committer.outcome
-
-    async def _select_windows(self, iterator: Iterator[CruxEntry],
-                              committer: RankOrderCommitter,
-                              max_in_flight: int) -> None:
-        """Evaluate ``max_in_flight`` candidates at a time, commit them in
-        rank order, repeat until the quota fills."""
-        while not committer.filled:
-            window = list(itertools.islice(iterator, max_in_flight))
-            if not window:
-                break
-            committer.commit_chunk(
-                await self._evaluate_all(window, self.crawler, max_in_flight))
-
-    def _select_subsharded(self, candidates: Iterable[CruxEntry], quota: int, *,
-                           executor: PipelineExecutor | None,
-                           sub_shard_size: int,
-                           max_in_flight: int) -> SelectionOutcome:
-        """The chunked walk: speculative sub-shards, rank-ordered merge."""
-        from repro.core.executor import SerialExecutor  # cycle-free, tiny
-
-        if sub_shard_size < 1:
-            raise ValueError(f"sub_shard_size must be positive, got {sub_shard_size}")
-        backend = executor if executor is not None else SerialExecutor()
-        entry_list = list(candidates)
-        chunks = [entry_list[start:stop]
-                  for start, stop in plan_chunks(len(entry_list), sub_shard_size)]
-        committer = RankOrderCommitter(quota, self.threshold)
-
-        def evaluate(chunk: list[CruxEntry]) -> list[CandidateEvaluation]:
-            # The filled flag only ever flips to True, so a stale read just
-            # means one sub-shard is evaluated and later discarded.
-            if committer.filled:
-                return []
-            return self.evaluate_chunk(chunk, max_in_flight=max_in_flight)
-
-        stream = backend.run_ordered(evaluate, chunks)
-        try:
-            for result in stream:
-                committer.commit_chunk(result.value)
-                if committer.filled:
-                    break  # stop consuming; pending sub-shards are cancelled
-        finally:
-            stream.close()
+        committer.commit_chunk(self.evaluate_window(candidates, 0, None,
+                                                    max_in_flight=max_in_flight,
+                                                    quota=quota))
         return committer.outcome

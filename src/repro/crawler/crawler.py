@@ -11,21 +11,20 @@ discovery: language validation, accessibility extraction and all analyses
 happen downstream on the records, so a crawl can be stored once and
 re-analysed many times (the same separation the paper's pipeline uses).
 
-Every crawl method is ``async`` and runs on the caller's event loop.
-:meth:`LangCruxCrawler.crawl_origin` walks one origin's pages in sequence;
-:meth:`LangCruxCrawler.crawl_batch` keeps up to ``max_in_flight`` origins
-in flight and returns records in entry order, so ``max_in_flight=1`` is
-the sequential walk.  With a per-host RNG-split transport (see
-:class:`~repro.crawler.fetcher.SimulatedTransport`) every record is
-identical whatever ``max_in_flight`` is.
+:meth:`LangCruxCrawler.crawl_origin` is ``async`` and runs on the caller's
+event loop; it walks one origin's pages in sequence.  Concurrency across
+origins lives in the selection walk
+(:meth:`~repro.core.site_selection.SiteSelector.evaluate_window`), which
+keeps up to ``max_in_flight`` origins in flight.  With a per-host
+RNG-split transport (see :class:`~repro.crawler.fetcher.SimulatedTransport`)
+every record is identical whatever ``max_in_flight`` is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
 
-from repro.crawler.fetcher import FetchError, gather_bounded
+from repro.crawler.fetcher import FetchError
 from repro.crawler.frontier import Frontier, FrontierEntry
 from repro.crawler.http import URL
 from repro.crawler.records import CrawlRecord, PageSnapshot
@@ -55,12 +54,10 @@ class CrawlerConfig:
 class LangCruxCrawler:
     """Crawls the origins of one country through one session."""
 
-    def __init__(self, session: CrawlSession, config: CrawlerConfig | None = None,
-                 *, progress: Callable[[CrawlRecord], None] | None = None) -> None:
+    def __init__(self, session: CrawlSession, config: CrawlerConfig | None = None) -> None:
         self.session = session
         self.config = config or CrawlerConfig()
         self.session.respect_robots = self.config.respect_robots
-        self._progress = progress
 
     # -- single origin ---------------------------------------------------------
 
@@ -109,7 +106,7 @@ class LangCruxCrawler:
 
         Pages of one origin are fetched strictly in sequence (the
         frontier's politeness contract); concurrency lives one level up, in
-        :meth:`crawl_batch`, where independent origins overlap.
+        the selection walk, where independent origins overlap.
         """
         record = CrawlRecord(
             domain=entry.origin,
@@ -139,29 +136,3 @@ class LangCruxCrawler:
                                            country_code=entry.country_code,
                                            depth=frontier_entry.depth + 1))
         return record
-
-    # -- many origins ------------------------------------------------------------
-
-    async def crawl_batch(self, entries: Sequence[CruxEntry] | Iterable[CruxEntry],
-                          language_code: str, *, max_in_flight: int = 8,
-                          window: tuple[int, int] | None = None) -> list[CrawlRecord]:
-        """Crawl ``entries`` with up to ``max_in_flight`` origins in flight.
-
-        Returns records in entry order; progress callbacks also fire in entry
-        order, once the whole batch has settled.  Determinism relative to
-        ``max_in_flight=1`` requires a per-host RNG-split transport — with a
-        shared transport RNG the interleaving would change each origin's
-        draws.
-
-        ``window`` restricts the batch to the ``[start, stop)`` slice of
-        ``entries`` — the shape a sub-sharded selection walk hands out — so
-        callers can point several batch calls at disjoint windows of one
-        ranking without slicing it themselves.
-        """
-        records = await gather_bounded(
-            lambda entry: self.crawl_origin(entry, language_code), entries,
-            max_in_flight=max_in_flight, window=window)
-        if self._progress is not None:
-            for record in records:
-                self._progress(record)
-        return records

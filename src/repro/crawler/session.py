@@ -5,10 +5,9 @@ A :class:`CrawlSession` packages a fetcher together with the vantage point
 LangCrUX crawler creates one session per country, mirroring the paper's
 per-country VPN configuration.
 
-Every fetch method is ``async`` and runs on the caller's event loop:
-:meth:`CrawlSession.fetch`, :meth:`CrawlSession.allowed` and
-:meth:`CrawlSession.fetch_batch`, which issues up to ``max_in_flight``
-concurrent requests and returns responses in input order.
+Both fetch methods, :meth:`CrawlSession.fetch` and
+:meth:`CrawlSession.allowed`, are ``async`` and run on the caller's event
+loop.
 
 The session's :class:`~repro.crawler.fetcher.Fetcher` sends through either
 the simulated web directly or an assembled
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from repro.crawler.fetcher import Fetcher, FetchError
 from repro.crawler.http import Response, URL
@@ -117,21 +115,3 @@ class CrawlSession:
                                             via_vpn=self.vantage.via_vpn)
         self.clock.advance(response.elapsed_ms / 1000.0)
         return response
-
-    async def fetch_batch(self, urls: Sequence[URL | str] | Iterable[URL | str], *,
-                          max_in_flight: int = 8,
-                          return_exceptions: bool = False) -> list[Response]:
-        """Fetch ``urls`` concurrently from this vantage, in input order.
-
-        At most ``max_in_flight`` requests are in flight at once, and the
-        clock advances by every response's latency (batch wall-clock
-        accounting is the scheduler's concern, not the session's).
-        """
-        responses = await self.fetcher.fetch_many(
-            urls, client_country=self.vantage.country_code,
-            via_vpn=self.vantage.via_vpn, max_in_flight=max_in_flight,
-            return_exceptions=return_exceptions)
-        for response in responses:
-            if isinstance(response, Response):
-                self.clock.advance(response.elapsed_ms / 1000.0)
-        return responses

@@ -5,13 +5,12 @@ workers own the crawling.  It plans the deterministic window split,
 publishes it to the queue directory, optionally spawns local worker
 processes, and then consumes window results *in plan order*: country by
 country in configured order, windows by rank within each country, each
-committed through the country's
-:class:`~repro.core.site_selection.RankOrderCommitter` with accepted
-record lines streamed verbatim into per-country sections of a
-:class:`~repro.core.dataset.StreamingDatasetWriter`.  That is precisely
-the single-host sub-sharded merge, so the output JSONL is byte-identical
-to ``LangCrUXPipeline.run(stream_to=...)`` regardless of worker count,
-crashes or retries.
+committed through the country's :class:`~repro.core.pipeline.CountryMerge`
+with accepted record lines streamed verbatim into per-country sections of
+a :class:`~repro.core.dataset.StreamingDatasetWriter`.  That is the same
+merge step the single-host build runs, so the output JSONL is
+byte-identical to ``LangCrUXPipeline.run(stream_to=...)`` regardless of
+worker count, crashes or retries.
 
 While waiting on a window the coordinator is also the failure detector:
 leases whose heartbeat stopped are reaped (re-opening the window —
@@ -35,13 +34,14 @@ from repro import perf
 from repro.core.dataset import StreamingDatasetWriter
 from repro.core.executor import ShardMetrics
 from repro.core.pipeline import (
+    CountryMerge,
     PipelineConfig,
     RecordSink,
     _RunTotals,
     build_web_for_config,
     plan_selection_windows,
 )
-from repro.core.site_selection import RankOrderCommitter, SelectionOutcome
+from repro.core.site_selection import SelectionOutcome
 from repro.dist.results import DecodedWindowResult, decode_window_result
 from repro.dist.workqueue import QueuedWindow, WorkQueue
 from repro.obs import trace as obs_trace
@@ -255,46 +255,25 @@ class Coordinator:
             for _ in range(self.workers):
                 self._spawn_worker()
             for index, country in enumerate(config.countries):
-                committer = RankOrderCommitter(config.sites_per_country,
-                                               config.language_threshold,
-                                               country_code=country)
-                duration_s = 0.0
-                committed = 0
-                windows_merged = 0
+                merge = CountryMerge.for_country(config, country, index)
                 with obs_trace.span("merge", {"country": country}):
                     for window in by_country[country]:
-                        if committer.filled:
+                        if merge.committer.filled:
                             break
                         decoded = self._await_result(window, counters)
                         merged += 1
                         merged_ids.add(window.window_id)
-                        windows_merged += 1
-                        duration_s += decoded.duration_s
-                        totals.merge_transport(decoded.transport_metrics)
-                        totals.merge_perf(decoded.perf_metrics)
-                        accepted_lines: list[str] = []
-                        for evaluation, line in zip(decoded.evaluations,
-                                                    decoded.record_lines):
-                            if committer.filled:
-                                break
-                            if committer.commit(evaluation) is not None:
-                                # Workers serialize a record for exactly the
-                                # candidates the committer accepts.
-                                assert line is not None
-                                accepted_lines.append(line)
-                        sink.commit_serialized(country, accepted_lines)
-                        committed += len(accepted_lines)
+                        totals.merge(decoded.transport_metrics,
+                                     decoded.perf_metrics)
+                        progress["records_streamed"] += merge.commit_window(
+                            decoded.evaluations, decoded.record_lines,
+                            decoded.duration_s, sink.commit_serialized)
                         progress["windows_merged"] = merged
-                        progress["records_streamed"] += len(accepted_lines)
                 # Either the quota filled or the ranking is exhausted;
                 # both mean workers should stop claiming this country.
                 self.queue.mark_filled(country)
-                sink.finish_country(country)
-                outcomes[country] = committer.outcome
-                metrics[country] = ShardMetrics(shard=country, index=index,
-                                                duration_s=duration_s,
-                                                records=committed,
-                                                sub_shards=windows_merged)
+                metrics[country] = merge.finalize(sink)
+                outcomes[country] = merge.committer.outcome
                 progress["countries_done"] = index + 1
             self.queue.mark_done()
             if counters is not None:
@@ -308,8 +287,7 @@ class Coordinator:
                 payload = self.queue.read_result(window.window_id)
                 if payload is not None:
                     late = decode_window_result(payload)
-                    totals.merge_transport(late.transport_metrics)
-                    totals.merge_perf(late.perf_metrics)
+                    totals.merge(late.transport_metrics, late.perf_metrics)
             with obs_trace.span("dataset.commit", {"path": str(self.output)}):
                 streamed = writer.close()
         except BaseException:
@@ -323,14 +301,8 @@ class Coordinator:
             if tracer is not None:
                 tracer.end_span(root_span)
                 obs_trace.disable()
-        if counters is not None:
-            totals.merge_perf(counters)
-        if totals.perf is not None:
-            for name, value in perf.memory_gauges().items():
-                totals.perf.gauge(name, value)
-            if sink.first_record_s is not None:
-                totals.perf.gauge("stream.first_record_s", sink.first_record_s)
-            totals.perf.gauge("stream.buffer_peak_records", float(sink.buffer_peak))
+        totals.merge(None, counters)
+        totals.stamp_gauges(sink)
         return DistBuildResult(
             output=self.output, streamed_records=streamed,
             selection_outcomes=outcomes, shard_metrics=metrics,

@@ -211,10 +211,10 @@ class TestFailurePropagation:
         assert time.perf_counter() - started < 10.0
 
     def test_pipeline_run_propagates_shard_failure(self, monkeypatch) -> None:
-        def broken_shard(config, country_code, web_and_crux=None):
-            raise RuntimeError(f"cannot crawl {country_code}")
+        def broken_window(config, spec, **kwargs):
+            raise RuntimeError(f"cannot crawl {spec.country_code}")
 
-        monkeypatch.setattr(pipeline_module, "execute_country_shard", broken_shard)
+        monkeypatch.setattr(pipeline_module, "execute_selection_subshard", broken_window)
         pipeline = LangCrUXPipeline(PipelineConfig(countries=("bd", "th"),
                                                    sites_per_country=2, workers=2,
                                                    executor="thread"))

@@ -16,13 +16,15 @@ from repro.core.dataset import LangCrUXDataset
 from repro.core.pipeline import (
     LangCrUXPipeline,
     PipelineConfig,
+    SelectionSubShard,
     build_web_for_config,
-    execute_country_shard,
+    execute_selection_subshard,
     record_from_crawl,
     selector_for_country,
     slim_selection_outcome,
 )
 from repro.core.elements import ELEMENT_IDS
+from repro.core.site_selection import RankOrderCommitter
 from repro.crawler.vpn import VantagePoint
 from repro.langid.languages import langcrux_country_codes
 
@@ -149,10 +151,16 @@ class TestDocumentCarryParity:
 
     def test_country_shard_strips_documents_after_record_build(self, selection) -> None:
         config, _ = selection
-        shard = execute_country_shard(config, "bd",
-                                      web_and_crux=build_web_for_config(config))
-        assert shard.records
-        for selected in shard.outcome.selected:
+        web, crux = build_web_for_config(config)
+        whole_country = SelectionSubShard(country_code="bd", chunk_index=0,
+                                          start=0, stop=crux.size("bd"))
+        window = execute_selection_subshard(config, whole_country,
+                                            web_and_crux=(web, crux))
+        assert any(record is not None for record in window.records)
+        committer = RankOrderCommitter(config.sites_per_country,
+                                       config.language_threshold)
+        committer.commit_chunk(window.evaluations)
+        for selected in committer.outcome.selected:
             assert selected.documents == ()
 
 
@@ -190,9 +198,7 @@ class TestSlimOutcomes:
 
     def test_slim_selection_outcome_keeps_counters_and_metadata(self) -> None:
         config = PipelineConfig(**self.CONFIG)
-        shard = execute_country_shard(config, "il",
-                                      web_and_crux=build_web_for_config(config))
-        outcome = shard.outcome
+        outcome = LangCrUXPipeline(config).run().selection_outcomes["il"]
         before = [(s.entry, s.visible_native_share,
                    [(p.url, p.status, p.served_variant) for p in s.record.pages])
                   for s in outcome.selected]

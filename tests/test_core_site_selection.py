@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from repro.core.executor import SerialExecutor, ThreadedExecutor
+from repro.core.executor import SerialExecutor, ThreadedExecutor, plan_chunks
 from repro.core.site_selection import (
     CandidateEvaluation,
     RankOrderCommitter,
+    SelectionOutcome,
     SiteSelector,
 )
 from repro.crawler.crawler import LangCruxCrawler
@@ -116,7 +117,7 @@ class TestSelection:
         assert len(cloud_outcome.selected) < len(vpn_outcome.selected)
 
 
-# -- the sub-sharded walk ---------------------------------------------------------
+# -- windowed walks ----------------------------------------------------------------
 
 
 class ScriptedSelector(SiteSelector):
@@ -124,7 +125,7 @@ class ScriptedSelector(SiteSelector):
 
     The script maps each origin to ``"accept"`` (qualifying native share),
     ``"reject"`` (below threshold) or ``"fail"`` (fetch failure), which makes
-    the commit arithmetic of chunk-seam edge cases exact and lets the tests
+    the commit arithmetic of window-seam edge cases exact and lets the tests
     observe exactly which candidates were evaluated.
     """
 
@@ -133,26 +134,22 @@ class ScriptedSelector(SiteSelector):
         self.script = script
         self.evaluated: list[str] = []
 
-    def evaluate_chunk(self, entries, *, max_in_flight: int = 1):
-        evaluations = []
-        for entry in entries:
-            self.evaluated.append(entry.origin)
-            verdict = self.script[entry.origin]
-            if verdict == "fail":
-                page = PageSnapshot(url=f"https://{entry.origin}/",
-                                    final_url=f"https://{entry.origin}/",
-                                    status=503, error="HTTP 503")
-                share = 0.0
-            else:
-                page = PageSnapshot(url=f"https://{entry.origin}/",
-                                    final_url=f"https://{entry.origin}/",
-                                    status=200, html="<html><body>x</body></html>")
-                share = 1.0 if verdict == "accept" else 0.0
-            record = CrawlRecord(domain=entry.origin, country_code=entry.country_code,
-                                 language_code="el", rank=entry.rank, pages=[page])
-            evaluations.append(CandidateEvaluation(entry=entry, record=record,
-                                                   native_share=share))
-        return evaluations
+    async def evaluate(self, entry: CruxEntry) -> CandidateEvaluation:
+        self.evaluated.append(entry.origin)
+        verdict = self.script[entry.origin]
+        if verdict == "fail":
+            page = PageSnapshot(url=f"https://{entry.origin}/",
+                                final_url=f"https://{entry.origin}/",
+                                status=503, error="HTTP 503")
+            share = 0.0
+        else:
+            page = PageSnapshot(url=f"https://{entry.origin}/",
+                                final_url=f"https://{entry.origin}/",
+                                status=200, html="<html><body>x</body></html>")
+            share = 1.0 if verdict == "accept" else 0.0
+        record = CrawlRecord(domain=entry.origin, country_code=entry.country_code,
+                             language_code="el", rank=entry.rank, pages=[page])
+        return CandidateEvaluation(entry=entry, record=record, native_share=share)
 
 
 def _entries(verdicts: list[str]) -> tuple[list[CruxEntry], ScriptedSelector]:
@@ -166,10 +163,40 @@ def _executors():
     return [SerialExecutor(), ThreadedExecutor(3)]
 
 
+def _windowed_select(selector: SiteSelector, entries, quota: int, *,
+                     sub_shard_size: int, executor=None) -> SelectionOutcome:
+    """The pipeline's merge in miniature: windows on ``executor``, rank-order commit.
+
+    Each window of ``sub_shard_size`` candidates is walked by
+    ``evaluate_window`` with the quota as its stop; windows are merged in
+    rank order and the stream is closed as soon as the quota fills.
+    """
+    entries = list(entries)
+    committer = RankOrderCommitter(quota, selector.threshold)
+
+    def evaluate(window: tuple[int, int]):
+        # The filled flag only ever flips to True, so a stale read just
+        # means one window is evaluated and later discarded.
+        if committer.filled:
+            return []
+        return selector.evaluate_window(entries, *window, quota=quota)
+
+    stream = (executor or SerialExecutor()).run_ordered(
+        evaluate, plan_chunks(len(entries), sub_shard_size))
+    try:
+        for result in stream:
+            committer.commit_chunk(result.value)
+            if committer.filled:
+                break
+    finally:
+        stream.close()
+    return committer.outcome
+
+
 class TestRankOrderCommitter:
     def test_commit_past_quota_is_a_counted_noop(self) -> None:
         entries, selector = _entries(["accept", "accept", "fail"])
-        evaluations = selector.evaluate_chunk(entries)
+        evaluations = selector.evaluate_window(entries, 0, len(entries))
         committer = RankOrderCommitter(quota=1, threshold=0.5)
         accepted = committer.commit_chunk(evaluations)
         assert [site.entry.rank for _, site in accepted] == [1]
@@ -182,7 +209,7 @@ class TestRankOrderCommitter:
     def test_counters_mirror_the_accept_replace_rule(self) -> None:
         entries, selector = _entries(["reject", "fail", "accept"])
         committer = RankOrderCommitter(quota=1, threshold=0.5)
-        committer.commit_chunk(selector.evaluate_chunk(entries))
+        committer.commit_chunk(selector.evaluate_window(entries, 0, len(entries)))
         outcome = committer.outcome
         assert outcome.candidates_examined == 3
         assert outcome.rejected_below_threshold == 1
@@ -191,26 +218,63 @@ class TestRankOrderCommitter:
         assert outcome.country_code == "gr"
 
 
+class TestWindowWalk:
+    """``evaluate_window`` stops once its own would-qualify count fills the quota."""
+
+    def test_stops_after_the_batch_that_fills_the_quota(self) -> None:
+        entries, selector = _entries(["accept", "reject", "accept", "accept", "accept"])
+        evaluations = selector.evaluate_window(entries, 0, 5, quota=2)
+        assert [e.entry.rank for e in evaluations] == [1, 2, 3]
+        assert selector.evaluated == ["site1.gr", "site2.gr", "site3.gr"]
+
+    def test_finishes_the_batch_in_flight(self) -> None:
+        entries, selector = _entries(["accept"] * 6)
+        evaluations = selector.evaluate_window(entries, 0, 6, quota=1,
+                                               max_in_flight=4)
+        assert [e.entry.rank for e in evaluations] == [1, 2, 3, 4]
+
+    def test_walks_the_whole_window_without_a_quota(self) -> None:
+        entries, selector = _entries(["accept"] * 4)
+        evaluations = selector.evaluate_window(entries, 1, 3)
+        assert [e.entry.rank for e in evaluations] == [2, 3]
+
+    def test_rejected_candidates_drop_their_payloads(self, setup) -> None:
+        sites, web, table = setup
+        selector = SiteSelector(_split_crawler(web), "el")
+        evaluations = selector.evaluate_window(table.iter_ranked("gr"), 0, None)
+        assert any(not e.qualifies(selector.threshold) for e in evaluations)
+        for evaluation in evaluations:
+            qualifies = evaluation.qualifies(selector.threshold)
+            assert bool(evaluation.documents) == qualifies
+            assert bool(evaluation.record.pages) == qualifies
+
+    def test_rejects_non_positive_in_flight(self) -> None:
+        entries, selector = _entries(["accept"])
+        with pytest.raises(ValueError):
+            selector.evaluate_window(entries, 0, 1, max_in_flight=0)
+
+
 class TestSubShardSeams:
-    """Chunk-seam edge cases of the sub-sharded walk."""
+    """Window-seam edge cases of the windowed walk."""
 
     def test_quota_fills_exactly_at_subshard_boundary(self) -> None:
         entries, selector = _entries(["accept"] * 6)
         for executor in _executors():
-            outcome = selector.select(entries, quota=3, executor=executor,
-                                      sub_shard_size=3)
+            outcome = _windowed_select(selector, entries, quota=3, executor=executor,
+                                       sub_shard_size=3)
             assert outcome.filled
             assert [s.entry.rank for s in outcome.selected] == [1, 2, 3]
-            # The walk commits nothing past the boundary chunk.
+            # The walk commits nothing past the boundary window.
             assert outcome.candidates_examined == 3
             assert outcome.replacement_count == 0
 
     def test_quota_fills_mid_chunk_discards_chunk_tail(self) -> None:
         entries, selector = _entries(["accept", "accept", "accept", "accept"])
-        outcome = selector.select(entries, quota=2, executor=SerialExecutor(),
-                                  sub_shard_size=3)
-        # The first chunk evaluates three candidates speculatively, but only
-        # two are committed — identical to the sequential walk's counters.
+        outcome = _windowed_select(selector, entries, quota=2, executor=SerialExecutor(),
+                                   sub_shard_size=3)
+        # The first window stops once two of its candidates would qualify,
+        # and only those two are committed — identical to the sequential
+        # walk's counters.
         assert outcome.candidates_examined == 2
         assert [s.entry.rank for s in outcome.selected] == [1, 2]
 
@@ -218,8 +282,8 @@ class TestSubShardSeams:
         entries, selector = _entries(["reject", "fail", "reject",
                                       "accept", "accept", "accept"])
         for executor in _executors():
-            outcome = selector.select(entries, quota=2, executor=executor,
-                                      sub_shard_size=3)
+            outcome = _windowed_select(selector, entries, quota=2, executor=executor,
+                                       sub_shard_size=3)
             assert outcome.filled
             assert [s.entry.rank for s in outcome.selected] == [4, 5]
             assert outcome.rejected_below_threshold == 2
@@ -229,8 +293,8 @@ class TestSubShardSeams:
     def test_ranking_exhausted_mid_chunk(self) -> None:
         entries, selector = _entries(["accept", "reject", "accept", "fail", "accept"])
         for executor in _executors():
-            outcome = selector.select(entries, quota=10, executor=executor,
-                                      sub_shard_size=2)
+            outcome = _windowed_select(selector, entries, quota=10, executor=executor,
+                                       sub_shard_size=2)
             assert not outcome.filled
             assert len(outcome.selected) == 3
             assert outcome.candidates_examined == 5
@@ -239,25 +303,25 @@ class TestSubShardSeams:
 
     def test_subshard_larger_than_candidate_list(self) -> None:
         entries, selector = _entries(["accept", "reject", "accept"])
-        outcome = selector.select(entries, quota=2, executor=SerialExecutor(),
-                                  sub_shard_size=100)
+        outcome = _windowed_select(selector, entries, quota=2, executor=SerialExecutor(),
+                                   sub_shard_size=100)
         assert outcome.filled
         assert [s.entry.rank for s in outcome.selected] == [1, 3]
         assert outcome.candidates_examined == 3
 
     def test_serial_skips_subshards_past_the_quota(self) -> None:
-        # With the lazy serial backend, chunks queued after the quota fills
+        # With the lazy serial backend, windows queued after the quota fills
         # are never evaluated at all (the filled flag short-circuits).
         entries, selector = _entries(["accept"] * 10)
-        outcome = selector.select(entries, quota=2, executor=SerialExecutor(),
-                                  sub_shard_size=2)
+        outcome = _windowed_select(selector, entries, quota=2, executor=SerialExecutor(),
+                                   sub_shard_size=2)
         assert outcome.filled
         assert selector.evaluated == ["site1.gr", "site2.gr"]
 
     def test_empty_candidate_list(self) -> None:
         entries, selector = _entries([])
-        outcome = selector.select(entries, quota=3, executor=SerialExecutor(),
-                                  sub_shard_size=2)
+        outcome = _windowed_select(selector, entries, quota=3, executor=SerialExecutor(),
+                                   sub_shard_size=2)
         assert not outcome.filled
         assert outcome.candidates_examined == 0
         assert outcome.selected == []
@@ -265,11 +329,11 @@ class TestSubShardSeams:
     def test_invalid_subshard_size_rejected(self) -> None:
         entries, selector = _entries(["accept"])
         with pytest.raises(ValueError):
-            selector.select(entries, quota=1, sub_shard_size=0)
+            _windowed_select(selector, entries, quota=1, sub_shard_size=0)
 
 
 class TestSubShardedMatchesSequential:
-    """Over the real synthetic web, the chunked walk equals the sequential one."""
+    """Over the real synthetic web, the windowed walk equals the sequential one."""
 
     @pytest.mark.parametrize("sub_shard_size", [1, 3, 7, 100])
     def test_outcome_identical_for_any_chunking(self, setup, sub_shard_size) -> None:
@@ -277,23 +341,7 @@ class TestSubShardedMatchesSequential:
         sequential = SiteSelector(_split_crawler(web), "el").select(
             table.iter_ranked("gr"), quota=12)
         for executor in _executors():
-            chunked = SiteSelector(_split_crawler(web), "el").select(
-                table.iter_ranked("gr"), quota=12, executor=executor,
-                sub_shard_size=sub_shard_size)
+            chunked = _windowed_select(
+                SiteSelector(_split_crawler(web), "el"), table.iter_ranked("gr"),
+                quota=12, executor=executor, sub_shard_size=sub_shard_size)
             assert chunked == sequential
-
-    def test_crawler_factory_gives_each_chunk_its_own_crawler(self, setup) -> None:
-        sites, web, table = setup
-        crawlers: list[LangCruxCrawler] = []
-
-        def factory() -> LangCruxCrawler:
-            crawlers.append(_split_crawler(web))
-            return crawlers[-1]
-
-        selector = SiteSelector(_split_crawler(web), "el", crawler_factory=factory)
-        outcome = selector.select(table.iter_ranked("gr"), quota=6,
-                                  executor=SerialExecutor(), sub_shard_size=2)
-        sequential = SiteSelector(_split_crawler(web), "el").select(
-            table.iter_ranked("gr"), quota=6)
-        assert outcome == sequential
-        assert len(crawlers) >= 3  # one per evaluated chunk

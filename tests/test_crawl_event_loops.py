@@ -1,10 +1,10 @@
 """One event loop per unit of crawl work.
 
-The crawl layer is async from one entry point per unit of work: a country
-shard enters the loop once in ``SiteSelector.select``, a sub-shard window
-once in ``SiteSelector.evaluate_window``.  No fetch, robots lookup or
-cache replay may start a loop of its own, so these tests count every
-loop ``asyncio`` creates during a build.
+The crawl layer is async from one entry point, the selection window:
+every window enters the loop once in ``SiteSelector.evaluate_window``,
+whether it spans a whole country or a sub-shard of its ranking.  No fetch,
+robots lookup or cache replay may start a loop of its own, so these tests
+count every loop ``asyncio`` creates during a build.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Covers the :class:`Fetcher` retry/redirect policy driven through
 ``fetch_many``, transports that yield (overlapping sleeps) or never await
 (running on the loop thread), bounded concurrency and input-order results
 of ``fetch_many``, the per-host RNG splitting of :class:`SimulatedTransport`,
-and the batched crawl APIs (``CrawlSession.fetch_batch``,
-``LangCruxCrawler.crawl_batch``, ``SiteSelector.select(max_in_flight=...)``)
+and batched crawls (session fetches and ``LangCruxCrawler.crawl_origin``
+under ``gather_bounded``, ``SiteSelector.select(max_in_flight=...)``)
 matching their ``max_in_flight=1`` walks record-for-record.
 """
 
@@ -20,7 +20,13 @@ import pytest
 
 from repro.core.site_selection import SiteSelector
 from repro.crawler.crawler import LangCruxCrawler
-from repro.crawler.fetcher import Fetcher, FetcherConfig, FetchError, SimulatedTransport
+from repro.crawler.fetcher import (
+    Fetcher,
+    FetcherConfig,
+    FetchError,
+    SimulatedTransport,
+    gather_bounded,
+)
 from repro.crawler.http import Headers, Request, Response, URL
 from repro.crawler.session import CrawlSession
 from repro.crawler.vpn import VPNManager
@@ -72,8 +78,12 @@ def _resp(url: str, status: int, location: str | None = None) -> Response:
     return Response(url=URL.parse(url), status=status, headers=headers, body="<p>x</p>")
 
 
-def _crawl(crawler: LangCruxCrawler, entries, **kwargs) -> list:
-    return asyncio.run(crawler.crawl_batch(entries, "ko", **kwargs))
+def _crawl(crawler: LangCruxCrawler, entries, *, max_in_flight: int = 8,
+           window: tuple[int, int] | None = None) -> list:
+    """Crawl ``entries`` with up to ``max_in_flight`` origins in flight."""
+    return asyncio.run(gather_bounded(lambda entry: crawler.crawl_origin(entry, "ko"),
+                                      entries, max_in_flight=max_in_flight,
+                                      window=window))
 
 
 def _fetch(fetcher: Fetcher, url: str, **kwargs) -> Response:
@@ -239,8 +249,9 @@ class TestBatchedCrawl:
     def test_fetch_batch_orders_and_advances_clock(self, web) -> None:
         session = _session(web)
         domains = list(web.domains())[:5]
-        responses = asyncio.run(session.fetch_batch(
-            [f"https://{domain}/" for domain in domains], max_in_flight=3))
+        responses = asyncio.run(gather_bounded(
+            session.fetch, [f"https://{domain}/" for domain in domains],
+            max_in_flight=3))
         # Responses come back in input order (redirects may rewrite the path).
         assert [r.url.host for r in responses] == domains
         assert session.clock.now == pytest.approx(
@@ -253,14 +264,6 @@ class TestBatchedCrawl:
         batched = _crawl(LangCruxCrawler(_session(web, 0.3)), entries, max_in_flight=4)
         assert [record.to_dict() for record in batched] == \
             [record.to_dict() for record in sequential]
-
-    def test_crawl_batch_fires_progress_in_entry_order(self, web, sites) -> None:
-        table = build_crux_table(sites)
-        entries = list(table.top("kr", 5))
-        progressed: list[str] = []
-        crawler = LangCruxCrawler(_session(web), progress=lambda r: progressed.append(r.domain))
-        _crawl(crawler, entries, max_in_flight=5)
-        assert progressed == [entry.origin for entry in entries]
 
     def test_crawl_batch_rejects_non_positive_in_flight(self, web) -> None:
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.crawler.crawler import CrawlerConfig, LangCruxCrawler
-from repro.crawler.fetcher import Fetcher, SimulatedTransport
+from repro.crawler.fetcher import Fetcher, SimulatedTransport, gather_bounded
 from repro.crawler.session import CrawlSession, VirtualClock
 from repro.crawler.vpn import VantagePoint, VPNManager
 from repro.webgen.crux import CruxEntry, build_crux_table
@@ -108,18 +108,12 @@ class TestLangCruxCrawler:
         table = build_crux_table(sites)
         crawler = LangCruxCrawler(_session(web))
         seen: list[str] = []
-        records = asyncio.run(crawler.crawl_batch(table.top("kr", 5), "ko", max_in_flight=1))
+        records = asyncio.run(gather_bounded(lambda entry: crawler.crawl_origin(entry, "ko"),
+                                             table.top("kr", 5), max_in_flight=1))
         assert len(records) == 5
         for record in records:
             assert record.domain not in seen
             seen.append(record.domain)
-
-    def test_progress_callback_invoked(self, web, sites) -> None:
-        table = build_crux_table(sites)
-        progressed = []
-        crawler = LangCruxCrawler(_session(web), progress=progressed.append)
-        asyncio.run(crawler.crawl_batch(table.top("kr", 3), "ko", max_in_flight=1))
-        assert len(progressed) == 3
 
     def test_cloud_vantage_recorded(self, web, sites) -> None:
         site = next(s for s in sites if not s.blocks_vpn)

@@ -262,10 +262,10 @@ class TestStreamingPipelineParity:
     def test_failed_run_leaves_no_streamed_file(self, tmp_path, monkeypatch) -> None:
         from repro.core import pipeline as pipeline_module
 
-        def broken_shard(config, country_code, web_and_crux=None):
-            raise RuntimeError(f"cannot crawl {country_code}")
+        def broken_window(config, spec, **kwargs):
+            raise RuntimeError(f"cannot crawl {spec.country_code}")
 
-        monkeypatch.setattr(pipeline_module, "execute_country_shard", broken_shard)
+        monkeypatch.setattr(pipeline_module, "execute_selection_subshard", broken_window)
         stream_path = tmp_path / "streamed.jsonl"
         with pytest.raises(Exception):
             LangCrUXPipeline(PipelineConfig(**PARITY_CONFIG)).run(stream_to=stream_path)
