@@ -30,7 +30,7 @@ by ``stable_seed(seed, "transport", country, domain)``, so a window's
 result depends on nothing but the config — not on worker counts, window
 sizes or completion interleavings.
 
-The merge is one loop for every backend (:meth:`LangCrUXPipeline.run`, and
+One merge step serves every backend (:meth:`LangCrUXPipeline.run`, and
 :class:`~repro.dist.coordinator.Coordinator` across processes): window
 results are committed in strict rank order through the country's
 :class:`CountryMerge`, whose
