@@ -6,15 +6,16 @@ precomputed state: ``script_histogram``/``textual_length`` classify each
 bisecting per character, ``extract_ngrams`` memoises per-token gram dicts,
 and ``NGramModel.score`` folds the Laplace smoothing into a precomputed
 log-probability table so scoring is one dict lookup per gram.  Every fast
-path keeps its naive reference implementation, and the parity suites
-(``tests/test_langid_hot_paths.py``) pin them equal on arbitrary inputs.
+path keeps its naive reference implementation (in ``tests/langid_oracle.py``),
+and the parity suites (``tests/test_langid_hot_paths.py``) pin them equal on
+arbitrary inputs.
 
 This harness measures what the rewrites bought:
 
 * script scoring — characters/second through ``script_histogram`` +
   ``textual_length``, fast vs naive, on mixed-script text;
 * n-gram scoring — texts/second through ``NGramModel.score`` vs
-  ``score_naive`` across a trained classifier's models;
+  the oracle's ``score_naive`` across a trained classifier's models;
 * parse+audit — records/second through the full per-page stage with and
   without an active :mod:`repro.perf` collector, to bound the profiling
   overhead; the collected counters ship in the JSON payload.
@@ -27,17 +28,22 @@ wall-clock gates) — result parity is always asserted.
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 from repro import perf
 from repro.audit.engine import AuditEngine
 from repro.core.extraction import extract_page
 from repro.html.parser import parse_html
 from repro.langid.ngram import NGramClassifier
-from repro.langid.scripts import (
-    script_histogram,
+from repro.langid.scripts import script_histogram, textual_length
+
+# The naive references are test oracles, kept next to their parity suite.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from langid_oracle import (  # noqa: E402
+    score_naive,
     script_histogram_naive,
-    textual_length,
     textual_length_naive,
 )
 
@@ -104,7 +110,7 @@ def _time_ngram_pass(classifier: NGramClassifier, naive: bool,
     for _ in range(repeats):
         for text in NGRAM_TEXTS:
             if naive:
-                results.append({code: model.score_naive(text)
+                results.append({code: score_naive(model, text)
                                 for code, model in models.items()})
             else:
                 results.append(classifier.scores(text))

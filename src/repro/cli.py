@@ -81,7 +81,6 @@ from pathlib import Path
 from repro import perf
 from repro.core.analysis import (
     element_statistics,
-    filter_breakdown_by_country,
     uninformative_rate_by_country,
 )
 from repro.core.dataset import LangCrUXDataset

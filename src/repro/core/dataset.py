@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import TracebackType
 from typing import Callable, Iterable, Iterator, Sequence
@@ -33,7 +33,7 @@ from repro.core.elements import ELEMENT_IDS
 from repro.core.extraction import PageExtraction
 from repro.core.filtering import classify_text
 from repro.core.language_mix import classify_texts, pooled_native_share, LanguageMixSummary
-from repro.langid.detector import ScriptDetector
+from repro.langid.detector import LanguageShare, ScriptDetector
 
 
 @dataclass
@@ -131,10 +131,14 @@ class SiteRecord:
     @classmethod
     def from_extraction(cls, extraction: PageExtraction, *, domain: str, country_code: str,
                         language_code: str, rank: int, served_variant: str | None = None,
-                        audit: dict[str, dict] | None = None) -> "SiteRecord":
-        """Build a record from a (merged) page extraction."""
-        detector = ScriptDetector(language_code)
-        share = detector.share(extraction.visible_text)
+                        audit: dict[str, dict] | None = None,
+                        share: LanguageShare | None = None) -> "SiteRecord":
+        """Build a record from a (merged) page extraction.
+
+        ``share`` is the language share of its visible text, if already known.
+        """
+        if share is None:
+            share = ScriptDetector(language_code).share(extraction.visible_text)
         record = cls(
             domain=domain,
             country_code=country_code,
@@ -164,9 +168,24 @@ class SiteRecord:
     # -- serialization ---------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        payload = asdict(self)
-        payload["elements"] = {eid: asdict(obs) for eid, obs in self.elements.items()}
-        return payload
+        """The record as JSON data, keys in field order (by hand: ``asdict``
+        deep-copies every nested value, and this runs once per record)."""
+        return {
+            "domain": self.domain,
+            "country_code": self.country_code,
+            "language_code": self.language_code,
+            "rank": self.rank,
+            "visible_text_chars": self.visible_text_chars,
+            "visible_native_share": self.visible_native_share,
+            "visible_english_share": self.visible_english_share,
+            "declared_lang": self.declared_lang,
+            "served_variant": self.served_variant,
+            "elements": {eid: {"element_id": obs.element_id, "total": obs.total,
+                               "missing": obs.missing, "empty": obs.empty,
+                               "texts": list(obs.texts)}
+                         for eid, obs in self.elements.items()},
+            "audit": {rule_id: dict(result) for rule_id, result in self.audit.items()},
+        }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SiteRecord":

@@ -184,6 +184,7 @@ class PipelineExecutor(ABC):
         try:
             for result in stream:
                 buffered[result.index] = result
+                del result  # as in SerialExecutor.run: the consumer owns it
                 while next_index in buffered:
                     yield buffered.pop(next_index)
                     next_index += 1
@@ -214,6 +215,7 @@ class SerialExecutor(PipelineExecutor):
                                     shard=shard) from error
             yield ShardResult(index=index, shard=shard, value=value,
                               duration_s=time.perf_counter() - started)
+            del value  # the consumer owns the result: no two alive at once
 
 
 class ThreadedExecutor(PipelineExecutor):
@@ -271,6 +273,7 @@ class ThreadedExecutor(PipelineExecutor):
                                         shard=shard) from error
                 yield ShardResult(index=index, shard=shard, value=value,
                                   duration_s=duration_s)
+                del value  # the consumer owns the result now
         finally:
             # Every job that was not cancelled before starting puts exactly
             # one envelope (errors included), so after cancelling we know
@@ -337,8 +340,8 @@ class ProcessExecutor(PipelineExecutor):
         source = enumerate(shards)
         done: queue.SimpleQueue = queue.SimpleQueue()
         pool: futures.ProcessPoolExecutor | None = None
-        pending: list[futures.Future] = []
-        consumed = 0
+        # Futures not yet taken off ``done`` (a taken one holds its result).
+        pending: set[futures.Future] = set()
         in_flight = 0
         exhausted = False
         window = self.workers + 1
@@ -357,7 +360,7 @@ class ProcessExecutor(PipelineExecutor):
                 pool = futures.ProcessPoolExecutor(max_workers=self.workers)
             future = pool.submit(_timed_call, fn, index, shard)
             future.add_done_callback(done.put)
-            pending.append(future)
+            pending.add(future)
             in_flight += 1
             return True
 
@@ -366,7 +369,7 @@ class ProcessExecutor(PipelineExecutor):
                 pass
             while in_flight:
                 future = done.get()
-                consumed += 1
+                pending.discard(future)
                 in_flight -= 1
                 try:
                     index, shard, value, duration_s, error = future.result()
@@ -379,6 +382,7 @@ class ProcessExecutor(PipelineExecutor):
                                         shard=shard) from error
                 yield ShardResult(index=index, shard=shard, value=value,
                                   duration_s=duration_s)
+                del future, value  # the consumer owns the result now
                 # Refill *after* the consumer processed the result: whatever
                 # state the consumer updates (e.g. finished countries) is
                 # visible to a lazily filtered shard source before the next
@@ -390,10 +394,10 @@ class ProcessExecutor(PipelineExecutor):
                 for future in pending:
                     future.cancel()
                 # Every future fires its done-callback exactly once — on
-                # completion or on cancellation — so exactly len(pending)
-                # envelopes ever enter the queue; block for the ones not yet
-                # consumed instead of sleep-polling future states.
-                for _ in range(len(pending) - consumed):
+                # completion or on cancellation — so exactly one envelope
+                # per pending future is still owed; block for each instead
+                # of sleep-polling future states.
+                for _ in range(len(pending)):
                     done.get()
                 pool.shutdown(wait=True)
 

@@ -101,6 +101,7 @@ from repro.crawler.transport import (
 from repro.crawler.vpn import DEFAULT_PROVIDERS, VantagePoint, VPNCoverageError, VPNManager
 from repro.html.dom import Document
 from repro.html.parser import parse_html
+from repro.langid.detector import LanguageShare
 from repro.langid.languages import get_pair, langcrux_country_codes
 from repro.obs import trace as obs_trace
 from repro.obs.status import StatusReporter
@@ -422,7 +423,8 @@ def selector_for_country(config: PipelineConfig, country_code: str,
 def record_from_crawl(crawl_record: CrawlRecord,
                       audit_engine: AuditEngine | None = None, *,
                       use_index: bool = True,
-                      documents: Sequence[Document] | None = None) -> SiteRecord:
+                      documents: Sequence[Document] | None = None,
+                      share: LanguageShare | None = None) -> SiteRecord:
     """Extraction + audit of one crawled origin (pure per-shard).
 
     Each page is parsed exactly once; extraction and audit then share the
@@ -442,6 +444,9 @@ def record_from_crawl(crawl_record: CrawlRecord,
             via :class:`~repro.core.site_selection.SelectedSite.documents`.
             Skips the re-parse; since parsing is deterministic, the produced
             record is byte-identical either way.
+        share: The pages' visible-text language share when already measured
+            (:attr:`~repro.core.site_selection.CandidateEvaluation.share`);
+            computed from the extraction when ``None``.
     """
     with perf.stage("record"):
         perf.count("record.sites")
@@ -473,6 +478,7 @@ def record_from_crawl(crawl_record: CrawlRecord,
             rank=crawl_record.rank,
             served_variant=homepage.served_variant if homepage else None,
             audit=audit,
+            share=share,
         )
 
 
@@ -646,7 +652,8 @@ def execute_selection_subshard(config: PipelineConfig, spec: SelectionSubShard,
             slimmed: list[CandidateEvaluation] = []
             for evaluation in evaluations:
                 records.append(record_from_crawl(evaluation.record, audit_engine,
-                                                 documents=evaluation.documents or None)
+                                                 documents=evaluation.documents or None,
+                                                 share=evaluation.share)
                                if evaluation.qualifies(config.language_threshold)
                                else None)
                 slimmed.append(evaluation.without_documents())
@@ -1070,18 +1077,17 @@ class LangCrUXPipeline:
         try:
             for result in stream:
                 window: SelectionSubShardResult = result.value
+                duration_s = result.duration_s
                 # Every window that ran lands in the run totals, including
                 # speculation discarded because its country already filled.
                 totals.merge(window.transport_metrics, window.perf_metrics)
                 merge = merges[window.spec.country_code]
-                if merge.done:
-                    continue
-                merge.commit_window(window.evaluations, window.records,
-                                    result.duration_s, sink.commit, slim=slim)
-                merge.remaining_windows -= 1
-                # Drop the committed payloads: the executor may still hold
-                # this result while it runs the next window.
-                window.evaluations = window.records = []
+                if not merge.done:
+                    merge.commit_window(window.evaluations, window.records,
+                                        duration_s, sink.commit, slim=slim)
+                    merge.remaining_windows -= 1
+                # Hold no window while the executor runs the next one.
+                del result, window
                 # Finalize the frontier of completed countries in configured
                 # order; zero-window countries finalize when reached.
                 while finalized < len(order) and (order[finalized].committer.filled

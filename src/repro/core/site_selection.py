@@ -65,8 +65,12 @@ from repro.crawler.records import CrawlRecord
 from repro.html.dom import Document
 from repro.html.index import ensure_index
 from repro.html.parser import parse_html
-from repro.langid.detector import ScriptDetector
+from repro.langid.detector import LanguageShare, ScriptDetector
 from repro.webgen.crux import CruxEntry
+
+
+#: The share of a site without a single parsed page.
+_NO_TEXT = LanguageShare(0.0, 0.0, 0.0, 0)
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,10 @@ class CandidateEvaluation:
     (derived from the record when not given), so the committer never
     re-derives it — which lets carriers slim a rejected evaluation's record
     (drop its page snapshots) without changing how it commits.
+
+    ``share`` is the whole :class:`~repro.langid.detector.LanguageShare`
+    behind ``native_share`` (``None`` when the crawl failed).  Like
+    ``documents`` it only feeds the evaluating process's record builder.
     """
 
     entry: CruxEntry
@@ -106,6 +114,7 @@ class CandidateEvaluation:
     native_share: float
     fetch_succeeded: bool | None = None
     documents: tuple[Document, ...] = field(default=(), compare=False, repr=False)
+    share: LanguageShare | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.fetch_succeeded is None:
@@ -119,8 +128,7 @@ class CandidateEvaluation:
         """A copy safe to pickle across process boundaries."""
         return CandidateEvaluation(entry=self.entry, record=self.record,
                                    native_share=self.native_share,
-                                   fetch_succeeded=self.fetch_succeeded,
-                                   documents=())
+                                   fetch_succeeded=self.fetch_succeeded)
 
 
 @dataclass
@@ -229,9 +237,9 @@ class SiteSelector:
         documents = tuple(parse_html(page.html, url=page.final_url)
                           for page in record.pages if page.ok and page.html)
         texts = [ensure_index(document).document_text() for document in documents]
-        share = self._detector.share(" ".join(texts)).native if texts else 0.0
-        return CandidateEvaluation(entry=entry, record=record, native_share=share,
-                                   documents=documents)
+        share = self._detector.share(" ".join(texts)) if texts else _NO_TEXT
+        return CandidateEvaluation(entry=entry, record=record, native_share=share.native,
+                                   documents=documents, share=share)
 
     async def evaluate(self, entry: CruxEntry) -> CandidateEvaluation:
         """Crawl and measure one candidate speculatively."""
@@ -277,7 +285,7 @@ class SiteSelector:
                     qualified += 1
                 elif evaluation.documents or evaluation.record.pages:
                     # Only a rejected candidate's verdict is ever read.
-                    evaluation = replace(evaluation, documents=(),
+                    evaluation = replace(evaluation, documents=(), share=None,
                                          record=replace(evaluation.record, pages=[]))
                 evaluations.append(evaluation)
         perf.gauge("sel.window_entries_peak", float(batch_peak))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.crawler.http import URL

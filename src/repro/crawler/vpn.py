@@ -20,7 +20,7 @@ the latter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.langid.languages import langcrux_country_codes

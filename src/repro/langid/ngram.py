@@ -62,9 +62,9 @@ def extract_ngrams(text: str, n_values: tuple[int, ...] = (1, 2, 3)) -> Counter[
 
     Fast path: per-token gram dicts are accumulated locally and memoised
     instead of incrementing a ``Counter`` once per gram.  Gram insertion
-    order matches :func:`extract_ngrams_naive` exactly (token by token,
-    first encounter), so scoring sums that iterate the result add floats in
-    the same order as the naive reference.
+    order matches the per-gram reference (``tests/langid_oracle.py``)
+    exactly (token by token, first encounter), so scoring sums that iterate
+    the result add floats in the same order as the reference.
     """
     n_values = tuple(n_values)
     tokens = text.lower().split()
@@ -73,19 +73,6 @@ def extract_ngrams(text: str, n_values: tuple[int, ...] = (1, 2, 3)) -> Counter[
     grams: Counter[str] = Counter()
     for token in tokens:
         grams.update(_token_grams(token, n_values))
-    return grams
-
-
-def extract_ngrams_naive(text: str, n_values: tuple[int, ...] = (1, 2, 3)) -> Counter[str]:
-    """Reference implementation of :func:`extract_ngrams` (per-gram Counter)."""
-    grams: Counter[str] = Counter()
-    for token in text.lower().split():
-        padded = f"_{token}_"
-        for n in n_values:
-            if len(padded) < n:
-                continue
-            for i in range(len(padded) - n + 1):
-                grams[padded[i:i + n]] += 1
     return grams
 
 
@@ -129,16 +116,12 @@ class NGramModel:
         self.total += sum(grams.values())
         self._log_table = None
 
-    def log_probability(self, gram: str) -> float:
-        """Smoothed log-probability of a single n-gram under this model."""
-        vocabulary = max(len(self.counts), 1)
-        return math.log((self.counts.get(gram, 0) + 1) / (self.total + vocabulary))
-
     def _ensure_log_table(self) -> dict[str, float]:
         """Precompute log-probabilities of every known gram.
 
-        Each entry evaluates the exact expression :meth:`log_probability`
-        uses, so fast scores are float-identical to the naive reference.
+        Each entry is the add-one smoothed log-probability of the gram, the
+        exact expression the per-gram reference evaluates, so fast scores
+        are float-identical to it.
         """
         table = self._log_table
         if table is None:
@@ -156,7 +139,8 @@ class NGramModel:
         of different lengths, which matters because accessibility strings are
         often very short.
 
-        Fast path over :meth:`score_naive`: grams are looked up in the
+        Fast path over the per-gram reference scorer (in
+        ``tests/langid_oracle.py``): grams are looked up in the
         precomputed log-probability table instead of re-deriving the smoothed
         probability per call.  Results are float-identical (same expressions,
         same summation order); the parity suite pins this.
@@ -174,15 +158,6 @@ class NGramModel:
         for gram, count in grams.items():
             total += count
             log_likelihood += count * table.get(gram, unseen)
-        return log_likelihood / total
-
-    def score_naive(self, text: str) -> float:
-        """Reference implementation of :meth:`score` (no precomputed table)."""
-        grams = extract_ngrams_naive(text, self.n_values)
-        if not grams:
-            return float("-inf")
-        total = sum(grams.values())
-        log_likelihood = sum(count * self.log_probability(gram) for gram, count in grams.items())
         return log_likelihood / total
 
 

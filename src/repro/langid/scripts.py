@@ -277,7 +277,8 @@ def script_histogram(text: str, *, textual_only: bool = False) -> Counter[Script
     bisect per character.  A ``KeyError`` (some character not memoised yet)
     falls back to pre-filling the memo for the distinct characters and
     retrying, so warm calls do zero Python-level per-character work.
-    Pinned equal to :func:`script_histogram_naive` by the parity suite.
+    Pinned equal to a per-character reference by the parity suite
+    (``tests/langid_oracle.py``).
     """
     try:
         counts = Counter(map(_SCRIPT_CACHE.__getitem__, text))
@@ -289,22 +290,6 @@ def script_histogram(text: str, *, textual_only: bool = False) -> Counter[Script
     return counts
 
 
-def script_histogram_naive(text: str, *, textual_only: bool = False) -> Counter[Script]:
-    """Reference implementation of :func:`script_histogram`.
-
-    One range classification per character, as the function was originally
-    written.  Deliberately bypasses the memo so the parity suite would catch
-    a corrupted cache entry, not just a wrong counting pass.
-    """
-    counts: Counter[Script] = Counter()
-    for char in text:
-        script = _classify(char)
-        if textual_only and not script.is_textual():
-            continue
-        counts[script] += 1
-    return counts
-
-
 def textual_length(text: str) -> int:
     """Number of characters in ``text`` that belong to a textual script."""
     try:
@@ -312,12 +297,6 @@ def textual_length(text: str) -> int:
     except KeyError:
         counts = Counter(map(_fill_cache(text).__getitem__, text))
     return len(text) - sum(counts[script] for script in _NON_TEXTUAL)
-
-
-def textual_length_naive(text: str) -> int:
-    """Reference implementation of :func:`textual_length` (per-char loop,
-    memo bypassed — see :func:`script_histogram_naive`)."""
-    return sum(1 for char in text if _classify(char).is_textual())
 
 
 def script_shares(text: str) -> dict[Script, float]:

@@ -7,7 +7,7 @@ the score histograms of Figure 6 (accessibility scores before/after Kizuki).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)

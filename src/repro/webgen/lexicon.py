@@ -16,7 +16,7 @@ measurement pipeline, which only looks at scripts, lengths and word counts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

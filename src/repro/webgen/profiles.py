@@ -23,7 +23,7 @@ is what the benchmark harnesses check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.langid.languages import LANGCRUX_PAIRS, LanguageCountryPair, get_pair

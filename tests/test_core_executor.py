@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -275,6 +276,29 @@ class TestStreamingAndOrdering:
         results = list(SerialExecutor().run(lambda shard: shard, ["a", "b"]))
         assert [type(r) for r in results] == [ShardResult, ShardResult]
         assert all(r.duration_s >= 0.0 for r in results)
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_serial_executor_holds_no_result_the_consumer_dropped(self, ordered) -> None:
+        # A consumer that lets go of a result must not find it kept alive
+        # by the executor while the next shard runs (refcounting alone, so
+        # the check cannot depend on when the cyclic collector runs).
+        class Payload:
+            pass
+
+        dropped: list[weakref.ref] = []
+        alive_at_start: list[bool] = []
+
+        def job(shard: int) -> Payload:
+            alive_at_start.append(any(ref() is not None for ref in dropped))
+            return Payload()
+
+        executor = SerialExecutor()
+        stream = (executor.run_ordered if ordered else executor.run)(job, range(4))
+        for result in stream:
+            dropped.append(weakref.ref(result.value))
+            del result
+        assert alive_at_start == [False, False, False, False]
+        assert all(ref() is None for ref in dropped)
 
     def test_abandoned_threaded_stream_drains_without_hanging(self) -> None:
         # Closing the generator after one result must cancel what it can,

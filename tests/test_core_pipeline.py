@@ -24,8 +24,10 @@ from repro.core.pipeline import (
     slim_selection_outcome,
 )
 from repro.core.elements import ELEMENT_IDS
+from repro.core.extraction import extract_page, merge_extractions
 from repro.core.site_selection import RankOrderCommitter
 from repro.crawler.vpn import VantagePoint
+from repro.langid.detector import ScriptDetector
 from repro.langid.languages import langcrux_country_codes
 
 
@@ -119,7 +121,9 @@ class TestDocumentCarryParity:
     sites carry those parsed documents (with their built DocumentIndex) into
     ``record_from_crawl``, dropping one parse+extract per selected origin.
     Since parsing is deterministic, the records must be byte-identical to a
-    fresh-parse build — pinned here.
+    fresh-parse build — pinned here.  The language share measured during
+    validation is carried the same way and must equal a fresh measurement
+    of the record's visible text.
     """
 
     @pytest.fixture(scope="class")
@@ -128,11 +132,13 @@ class TestDocumentCarryParity:
                                 transport_failure_rate=0.05)
         web, crux = build_web_for_config(config)
         selector = selector_for_country(config, "bd", web)
-        outcome = selector.select(crux.iter_ranked("bd"), quota=4)
-        return config, outcome
+        committer = RankOrderCommitter(4, selector.threshold)
+        accepted = committer.commit_chunk(selector.evaluate_window(
+            crux.iter_ranked("bd"), 0, None, quota=4))
+        return config, committer.outcome, [evaluation for evaluation, _ in accepted]
 
     def test_selected_sites_carry_their_parsed_documents(self, selection) -> None:
-        _, outcome = selection
+        _, outcome, _ = selection
         assert outcome.selected
         for selected in outcome.selected:
             assert selected.documents, selected.entry.origin
@@ -141,16 +147,28 @@ class TestDocumentCarryParity:
             assert len(selected.documents) == len(ok_pages)
 
     def test_records_byte_identical_with_and_without_carry(self, selection) -> None:
-        _, outcome = selection
-        for selected in outcome.selected:
+        _, outcome, accepted = selection
+        assert len(accepted) == len(outcome.selected)
+        for selected, evaluation in zip(outcome.selected, accepted):
             carried = record_from_crawl(selected.record,
-                                        documents=selected.documents)
+                                        documents=selected.documents,
+                                        share=evaluation.share)
             fresh = record_from_crawl(selected.record)
             assert json.dumps(carried.to_dict(), ensure_ascii=False) == \
                 json.dumps(fresh.to_dict(), ensure_ascii=False)
 
+    def test_carried_share_equals_a_fresh_measurement(self, selection) -> None:
+        _, outcome, accepted = selection
+        for selected, evaluation in zip(outcome.selected, accepted):
+            extraction = merge_extractions(
+                [extract_page(document) for document in selected.documents])
+            fresh = ScriptDetector(selected.record.language_code).share(
+                extraction.visible_text)
+            assert evaluation.share == fresh  # every field of the dataclass
+            assert evaluation.native_share == fresh.native
+
     def test_country_shard_strips_documents_after_record_build(self, selection) -> None:
-        config, _ = selection
+        config, _, _ = selection
         web, crux = build_web_for_config(config)
         whole_country = SelectionSubShard(country_code="bd", chunk_index=0,
                                           start=0, stop=crux.size("bd"))

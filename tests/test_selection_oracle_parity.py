@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.pipeline import LangCrUXPipeline, PipelineConfig
 from repro.core.site_selection import SiteSelector
+from repro.langid.detector import ScriptDetector
 
 from selection_oracle import oracle_jsonl
 
@@ -62,3 +63,31 @@ def test_whole_country_walk_stops_at_the_quota(monkeypatch) -> None:
     assert all(outcome.replacement_count
                for outcome in result.selection_outcomes.values())
     assert calls[0] == examined
+
+
+def test_language_share_is_measured_once_per_crawled_candidate(monkeypatch) -> None:
+    """Records reuse the share selection measured; nothing measures it twice.
+
+    ``ScriptDetector.share`` runs once per evaluated candidate with at least
+    one parsed page, and record building adds no call of its own.
+    """
+    with_pages = [0]
+    shares = [0]
+    original_evaluate = SiteSelector.evaluate
+    original_share = ScriptDetector.share
+
+    async def counting_evaluate(self, entry):
+        evaluation = await original_evaluate(self, entry)
+        with_pages[0] += bool(evaluation.documents)
+        return evaluation
+
+    def counting_share(self, text):
+        shares[0] += 1
+        return original_share(self, text)
+
+    monkeypatch.setattr(SiteSelector, "evaluate", counting_evaluate)
+    monkeypatch.setattr(ScriptDetector, "share", counting_share)
+    result = LangCrUXPipeline(PipelineConfig(**CONFIG, executor="serial")).run()
+    assert len(result.dataset) == 24
+    assert with_pages[0] > 0
+    assert shares[0] == with_pages[0]
