@@ -10,7 +10,9 @@ depth-first pass per page plus bucket lookups and memo hits.
 This harness builds synthetic pages of increasing size (with the
 label-per-control shape that triggers the quadratic path), then runs the
 full per-page audit+extraction stage — the pipeline's CPU-bound inner loop —
-through both access paths and reports records-per-second.  Results must be
+through both access paths and reports records-per-second.  The naive path
+is the ``NaiveDocumentAccessor`` test oracle (``tests/document_index_oracle.py``),
+handed to the same entry points in place of the document.  Results must be
 identical; the indexed path must be at least ``TARGET_SPEEDUP`` times faster
 on the large page.
 
@@ -22,11 +24,17 @@ wall-clock gate) — result parity is always asserted.
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 from repro.audit.engine import AuditEngine
 from repro.core.extraction import extract_page
 from repro.html.parser import parse_html
+
+# The naive reference is a test oracle, kept next to its parity suite.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from document_index_oracle import NaiveDocumentAccessor  # noqa: E402
 
 #: (name, element groups) — each group adds a paragraph, an image, a link,
 #: a labelled input and a button, so page size scales linearly while the
@@ -59,8 +67,9 @@ def _run_stage(markup: str, engine: AuditEngine, use_index: bool,
     started = time.perf_counter()
     for _ in range(repeats):
         document = parse_html(markup, url="https://bench.example.th/")
-        extraction = extract_page(document, use_index=use_index)
-        report = engine.audit_document(document, use_index=use_index)
+        context = document if use_index else NaiveDocumentAccessor(document)
+        extraction = extract_page(context)
+        report = engine.audit_document(context)
         results.append((extraction, report.to_dict()))
     return time.perf_counter() - started, results
 

@@ -1,9 +1,10 @@
 """Setuptools shim.
 
-The reproduction environment has no network access and an older setuptools
-without PEP 660 support, so the project keeps a classic ``setup.py`` to allow
-offline ``pip install -e .`` via the legacy editable-install path.  All
-project metadata lives in ``pyproject.toml``.
+All project metadata lives in ``pyproject.toml``.  Offline, install with
+``pip install --no-build-isolation --no-deps -e .``, which builds from the
+setuptools and ``wheel`` already installed.  Where ``wheel`` is missing,
+``python setup.py develop`` (kept working by this file) installs the same
+package and ``langcrux`` script.
 """
 
 from setuptools import setup

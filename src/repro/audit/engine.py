@@ -16,7 +16,7 @@ from repro.audit.report import AuditReport
 from repro.audit.rules import ALL_RULES
 from repro.audit.rules.base import AuditRule
 from repro.html.dom import Document
-from repro.html.index import DocumentAccessor, NaiveDocumentAccessor, ensure_index
+from repro.html.index import DocumentIndex, ensure_index
 from repro.html.parser import parse_html
 
 
@@ -45,25 +45,17 @@ class AuditEngine:
                       for rule in self.rules)
         return AuditEngine(rules)
 
-    def audit_document(self, document: Document | DocumentAccessor, *,
-                       use_index: bool = True) -> AuditReport:
+    def audit_document(self, document: Document | DocumentIndex) -> AuditReport:
         """Run every rule over ``document``.
 
         The document is coerced to its cached
         :class:`~repro.html.index.DocumentIndex` once, and every rule selects
         targets and resolves names through it — one traversal for the whole
         audit (shared with extraction when both see the same document).
-        ``use_index=False`` routes through the naive-traversal reference
-        path instead; it exists for parity tests and benchmarks.
+        An accessor passes through as it is, which is how the parity tests
+        run the audit over their naive reference accessor.
         """
-        if use_index:
-            context = ensure_index(document)
-        else:
-            # Unwrap accessors so a DocumentIndex argument cannot silently
-            # ride through what is supposed to be the naive reference path.
-            if not isinstance(document, Document):
-                document = Document(root=document.root, url=document.url)
-            context = NaiveDocumentAccessor(document)
+        context = ensure_index(document)
         with perf.stage("audit"):
             perf.count("audit.documents")
             report = AuditReport(url=context.url)

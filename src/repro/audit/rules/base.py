@@ -28,10 +28,10 @@ from abc import ABC, abstractmethod
 from repro.audit.report import ElementOutcome, RuleResult
 from repro.html.accessibility import AccessibleNameResult, NameSource, accessible_name
 from repro.html.dom import Document, Element
-from repro.html.index import DocumentAccessor, ensure_index
+from repro.html.index import DocumentIndex, ensure_index
 
-#: What the rule hooks accept: a document or either access path over one.
-AuditContext = Document | DocumentAccessor
+#: What the rule hooks accept: a document or an accessor over one.
+AuditContext = Document | DocumentIndex
 
 
 def context_name(element: Element, context: AuditContext) -> AccessibleNameResult:
@@ -41,9 +41,9 @@ def context_name(element: Element, context: AuditContext) -> AccessibleNameResul
     name computations (several rules, extraction + audit) are free after the
     first; a plain :class:`~repro.html.dom.Document` computes naively.
     """
-    if isinstance(context, DocumentAccessor):
-        return context.accessible_name(element)
-    return accessible_name(element, context)
+    if isinstance(context, Document):
+        return accessible_name(element, context)
+    return context.accessible_name(element)
 
 
 class AuditRule(ABC):

@@ -18,8 +18,9 @@ that fallback is precisely one of the paper's findings.
 Element instances are looked up through the document's
 :class:`~repro.html.index.DocumentIndex` (one traversal, shared with the
 audit stage when both see the same document) instead of one ``find_all``
-walk per element group; ``use_index=False`` switches to the naive-traversal
-reference path for parity tests and benchmarks.  Observations stay grouped
+walk per element group; any accessor with the index's query surface can
+stand in for the document, which is how the parity tests and benchmarks run
+the naive reference path.  Observations stay grouped
 by element type, in the fixed Table 1 order, exactly as before — the index
 only changes how instances are found, not how they are reported.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from repro import perf
 from repro.core.elements import ELEMENT_IDS
 from repro.html.dom import Document, Element
-from repro.html.index import DocumentAccessor, NaiveDocumentAccessor, ensure_index
+from repro.html.index import DocumentIndex, ensure_index
 from repro.html.parser import parse_html
 
 _BUTTON_INPUT_TYPES = frozenset({"button", "submit", "reset"})
@@ -85,23 +86,23 @@ class PageExtraction:
                 if obs.has_text and (element_id is None or obs.element_id == element_id)]
 
 
-def _explicit_text(element: Element, context: DocumentAccessor) -> str | None:
+def _explicit_text(element: Element, context: DocumentIndex) -> str | None:
     """Explicit accessibility metadata of an element (no visible-text fallback)."""
     result = context.accessible_name(element)
     return result.name if result.explicit else None
 
 
-def _extract_document_title(context: DocumentAccessor) -> ExtractedText:
+def _extract_document_title(context: DocumentIndex) -> ExtractedText:
     return ExtractedText("document-title", context.title)
 
 
-def _extract_simple(context: DocumentAccessor, element_id: str, tag: str,
+def _extract_simple(context: DocumentIndex, element_id: str, tag: str,
                     predicate=None) -> list[ExtractedText]:
     return [ExtractedText(element_id, _explicit_text(element, context))
             for element in context.elements(tag, predicate=predicate)]
 
 
-def _extract_object_alt(context: DocumentAccessor) -> list[ExtractedText]:
+def _extract_object_alt(context: DocumentIndex) -> list[ExtractedText]:
     observations = []
     for element in context.elements("object"):
         text = _explicit_text(element, context)
@@ -115,17 +116,16 @@ def _extract_object_alt(context: DocumentAccessor) -> list[ExtractedText]:
     return observations
 
 
-def extract_page(document: Document | str, url: str | None = None, *,
-                 use_index: bool = True) -> PageExtraction:
+def extract_page(document: Document | DocumentIndex | str,
+                 url: str | None = None) -> PageExtraction:
     """Extract visible text and all accessibility-text observations.
 
     Args:
-        document: A parsed :class:`Document` or raw HTML markup.
+        document: A parsed :class:`Document` (looked up through its cached
+            :class:`~repro.html.index.DocumentIndex`: one DOM traversal,
+            shared with any audit of the same document), an accessor, or
+            raw HTML markup.
         url: Recorded on the result when ``document`` is raw markup.
-        use_index: Look elements and names up through the document's cached
-            :class:`~repro.html.index.DocumentIndex` (the default; one DOM
-            traversal, shared with any audit of the same document).
-            ``False`` uses the naive full-traversal reference path.
 
     Returns:
         A :class:`PageExtraction` with one observation per element instance.
@@ -133,13 +133,10 @@ def extract_page(document: Document | str, url: str | None = None, *,
     if isinstance(document, str):
         document = parse_html(document, url=url)
     with perf.stage("extract"):
-        return _extract_page_indexed(document, url, use_index=use_index)
+        return _extract_page_indexed(ensure_index(document), url)
 
 
-def _extract_page_indexed(document: Document, url: str | None, *,
-                          use_index: bool) -> PageExtraction:
-    context = ensure_index(document) if use_index else NaiveDocumentAccessor(document)
-
+def _extract_page_indexed(context: DocumentIndex, url: str | None) -> PageExtraction:
     extraction = PageExtraction(
         url=context.url or url,
         visible_text=context.document_text(),

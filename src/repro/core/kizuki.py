@@ -30,7 +30,7 @@ from repro.audit.scoring import DEFAULT_WEIGHTS, lighthouse_score
 from repro.core.dataset import LangCrUXDataset, SiteRecord
 from repro.core.filtering import classify_text
 from repro.html.dom import Document, Element
-from repro.html.index import DocumentAccessor, ensure_index
+from repro.html.index import ensure_index
 from repro.html.visibility import extract_visible_text
 from repro.langid.classify import (
     ClassificationThresholds,
@@ -44,13 +44,13 @@ from repro.langid.languages import Language, get_language
 def _page_text(document: AuditContext) -> str:
     """Visible text of the page behind ``document`` (a Document or accessor).
 
-    Accessors memoize the document text, so the language-context computation
-    of a language-aware rule costs nothing when extraction or another rule
-    already extracted the same page's text through the same index.
+    An index already holds the page's text from its one walk, so the
+    language-context computation of a language-aware rule only normalizes
+    it.
     """
-    if isinstance(document, DocumentAccessor):
-        return document.document_text()
-    return extract_visible_text(document)
+    if isinstance(document, Document):
+        return extract_visible_text(document)
+    return document.document_text()
 
 
 @dataclass(frozen=True)

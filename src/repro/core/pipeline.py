@@ -100,6 +100,7 @@ from repro.crawler.transport import (
 )
 from repro.crawler.vpn import DEFAULT_PROVIDERS, VantagePoint, VPNCoverageError, VPNManager
 from repro.html.dom import Document
+from repro.html.index import DocumentIndex
 from repro.html.parser import parse_html
 from repro.langid.detector import LanguageShare
 from repro.langid.languages import get_pair, langcrux_country_codes
@@ -422,8 +423,7 @@ def selector_for_country(config: PipelineConfig, country_code: str,
 
 def record_from_crawl(crawl_record: CrawlRecord,
                       audit_engine: AuditEngine | None = None, *,
-                      use_index: bool = True,
-                      documents: Sequence[Document] | None = None,
+                      documents: Sequence[Document | DocumentIndex] | None = None,
                       share: LanguageShare | None = None) -> SiteRecord:
     """Extraction + audit of one crawled origin (pure per-shard).
 
@@ -432,18 +432,16 @@ def record_from_crawl(crawl_record: CrawlRecord,
     :meth:`~repro.html.dom.Document.index` — one
     :class:`~repro.html.index.DocumentIndex` per page, so the per-page cost
     is a single DOM traversal instead of one per rule and element group.
-    ``use_index=False`` keeps the naive traversal path (the reference the
-    byte-parity tests and the benchmark compare against).
 
     Args:
         crawl_record: The crawled origin.
         audit_engine: The audit engine to use (a fresh one when ``None``).
-        use_index: Whether lookups go through the document index.
         documents: The record's pages already parsed (in page order, one per
             ``ok`` HTML page), e.g. carried over from selection validation
             via :class:`~repro.core.site_selection.SelectedSite.documents`.
             Skips the re-parse; since parsing is deterministic, the produced
-            record is byte-identical either way.
+            record is byte-identical either way.  Accessors are accepted in
+            place of documents (the parity tests pass their naive one).
         share: The pages' visible-text language share when already measured
             (:attr:`~repro.core.site_selection.CandidateEvaluation.share`);
             computed from the extraction when ``None``.
@@ -457,10 +455,10 @@ def record_from_crawl(crawl_record: CrawlRecord,
         else:
             documents = list(documents)
         extraction = merge_extractions(
-            [extract_page(document, use_index=use_index) for document in documents])
+            [extract_page(document) for document in documents])
         audit: dict[str, dict] = {}
         if documents:
-            report = engine.audit_document(documents[0], use_index=use_index)
+            report = engine.audit_document(documents[0])
             audit = {
                 rule_id: {
                     "applicable": result.applicable,

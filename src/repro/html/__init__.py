@@ -17,23 +17,22 @@ subpackage provides a static equivalent:
   precedence rules screen readers use (``aria-labelledby``, ``aria-label``,
   native markup such as ``alt`` or ``<label>``, then visible text).
 * :mod:`repro.html.index` — :class:`~repro.html.index.DocumentIndex`, a
-  one-pass index (tag/role/id/label buckets, memoized visibility, cached
-  visible-text and accessible-name results) that the audit and extraction
-  layers consult instead of re-traversing the tree, plus the
-  :class:`~repro.html.index.NaiveDocumentAccessor` reference path.
+  one-pass index (tag/role/id/label buckets, memoized visibility and
+  accessible names, and the page's visible text, of which every visible
+  subtree's text is a slice) that the selection, audit and extraction
+  layers consult instead of re-traversing the tree.
 """
 
 from repro.html.dom import Document, Element, Node, TextNode
 from repro.html.parser import parse_html
 from repro.html.visibility import extract_visible_text, is_visible
 from repro.html.accessibility import accessible_name, AccessibleNameResult
-from repro.html.index import DocumentIndex, NaiveDocumentAccessor, ensure_index
+from repro.html.index import DocumentIndex, ensure_index
 
 __all__ = [
     "Document",
     "DocumentIndex",
     "Element",
-    "NaiveDocumentAccessor",
     "Node",
     "TextNode",
     "parse_html",

@@ -17,31 +17,43 @@ extracting one page costs ~25 full DOM traversals.
 * ``label[for] → labels`` association map;
 * top-down memoized visibility (an element is hidden iff its parent is or it
   hides itself — computed once per element during the pass);
-* lazily cached visible-text and accessible-name results per element.
+* the document's visible text: the pass also visits text nodes and emits the
+  parts :func:`~repro.html.visibility.extract_visible_text` would, in the
+  same order, into one raw string.  Every visible element records where its
+  own text starts and ends in that string, so the visible text of the page
+  or of any visible subtree is a slice of it, normalized on request;
+* memoized accessible names per element.
 
 The index is a pure *access-path* optimisation: every answer is identical to
-the naive traversal APIs on :class:`~repro.html.dom.Document`, which remain
-in place as the reference implementation (``tests/
+the naive traversal APIs on :class:`~repro.html.dom.Document` and the
+module-level visibility / accessibility functions.  The naive accessor that
+wraps those APIs behind the same interface is a test oracle
+(``tests/document_index_oracle.py``); ``tests/
 test_property_document_index.py`` generates random DOMs and asserts
-equivalence).  :class:`NaiveDocumentAccessor` wraps those reference APIs
-behind the same interface so consumers can be switched between the two paths
-(``use_index=``) for parity tests and benchmarks.
+equivalence.
 
 Consumers obtain the index via :meth:`repro.html.dom.Document.index`, which
 caches it on the document and rebuilds it when the tree mutates — so the
-pipeline's extraction and audit stages, and Kizuki's base-vs-extended double
-audit, all share one traversal per page.  The index holds the root, the URL
-and the declared language rather than the document that caches it, so the
-cache forms no reference cycle and a dropped page is freed at once.
+pipeline's selection, extraction and audit stages, and Kizuki's
+base-vs-extended double audit, all share one traversal per page.  The index
+holds the root, the URL and the declared language rather than the document
+that caches it, so the cache forms no reference cycle and a dropped page is
+freed at once.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable
 
 from repro.html.accessibility import AccessibleNameResult, accessible_name
-from repro.html.dom import Document, Element, Node, title_of
-from repro.html.visibility import _element_hidden, extract_visible_text, is_visible
+from repro.html.dom import Document, Element, Node, TextNode, title_of
+from repro.html.visibility import (
+    _BLOCK_TAGS,
+    _element_hidden,
+    extract_visible_text,
+    is_visible,
+)
 
 _UNSET = object()
 
@@ -65,32 +77,82 @@ class DocumentIndex:
         by_id: dict[str, Element] = {}
         labels_by_for: dict[str, list[Element]] = {}
         position: dict[Element, int] = {}
-        hidden: dict[Element, bool] = {}
         order: list[Element] = []
+        # Aligned with ``order``: the hidden flag, and for visible elements
+        # the span of their own text in the joined raw text.
+        hidden = bytearray()
+        starts = array("I")
+        ends = array("I")
+        parts: list[str] = []
+        length = 0
 
-        # Iterative depth-first pre-order walk carrying the inherited
-        # hidden flag, so visibility memoization is purely top-down.
-        stack: list[tuple[Element, bool]] = [(document.root, False)]
+        # Iterative depth-first pre-order walk.  The stack holds elements to
+        # visit, the strings a visible parent contributes (text runs and the
+        # separators around block children) and, as an int, the position of
+        # a visible element whose text ends there.  Inside a hidden subtree
+        # everything is hidden, so one flag (cleared by a ``None`` marker
+        # pushed when the subtree is entered) replaces a per-item flag.
+        stack: list = [document.root]
+        pop = stack.pop
+        push = stack.append
+        in_hidden = False
         while stack:
-            element, parent_hidden = stack.pop()
-            element_hidden = parent_hidden or _element_hidden(element)
-            position[element] = len(order)
+            item = pop()
+            kind = type(item)
+            if kind is str:
+                parts.append(item)
+                length += len(item)
+                continue
+            if kind is int:
+                ends[item] = length
+                continue
+            if item is None:
+                in_hidden = False
+                continue
+            element: Element = item
+            attributes = element.attributes
+            tag = element.tag
+            pos = len(order)
+            position[element] = pos
             order.append(element)
-            hidden[element] = element_hidden
-            by_tag.setdefault(element.tag, []).append(element)
-            role = element.role
-            if role:
-                by_role.setdefault(role, []).append(element)
-            identifier = element.id
-            if identifier and identifier not in by_id:
-                by_id[identifier] = element
-            if element.tag == "label":
-                target = element.get("for")
-                if target:
-                    labels_by_for.setdefault(target, []).append(element)
-            for child in reversed(element.children):
-                if isinstance(child, Element):
-                    stack.append((child, element_hidden))
+            element_hidden = in_hidden or _element_hidden(element)
+            hidden.append(element_hidden)
+            starts.append(length)
+            ends.append(length)
+            by_tag.setdefault(tag, []).append(element)
+            if attributes:
+                role = attributes.get("role")
+                if role:
+                    role = role.strip().lower()
+                    if role:
+                        by_role.setdefault(role, []).append(element)
+                identifier = attributes.get("id")
+                if identifier and identifier not in by_id:
+                    by_id[identifier] = element
+                if tag == "label":
+                    target = attributes.get("for")
+                    if target:
+                        labels_by_for.setdefault(target, []).append(element)
+            children = element.children
+            if element_hidden:
+                if not in_hidden:
+                    in_hidden = True
+                    push(None)
+                for child in reversed(children):
+                    if isinstance(child, Element):
+                        push(child)
+                continue
+            push(pos)
+            for child in reversed(children):
+                if isinstance(child, TextNode):
+                    push(child.text)
+                elif isinstance(child, Element):
+                    if child.tag in _BLOCK_TAGS:
+                        push(" ")
+                        push(child)
+                        push(" ")
+                    else:
+                        push(child)
 
         self._by_tag = by_tag
         self._by_role = by_role
@@ -99,7 +161,9 @@ class DocumentIndex:
         self._position = position
         self._hidden = hidden
         self._order = order
-        self._visible_text: dict[Element, str] = {}
+        self._starts = starts
+        self._ends = ends
+        self._text = "".join(parts)
         self._accessible_names: dict[Element, AccessibleNameResult] = {}
         self._title: object = _UNSET
 
@@ -165,32 +229,38 @@ class DocumentIndex:
         element = node if isinstance(node, Element) else node.parent
         if element is None:
             return True
-        hidden = self._hidden.get(element)
-        if hidden is None:
+        pos = self._position.get(element)
+        if pos is None:
             # Node outside the indexed tree (detached or foreign): fall back
             # to the naive ancestor walk rather than guessing.
             return is_visible(node)
-        return not hidden
+        return not self._hidden[pos]
 
     def visible_text(self, element: Element | None = None, *,
                      normalize: bool = True) -> str:
-        """Visible text of ``element`` (default: the whole document), cached.
+        """Visible text of ``element`` (default: the whole document).
 
-        Only the normalized form — the one every consumer uses — is
-        memoized; a non-normalized request computes fresh.
+        Equal to :func:`~repro.html.visibility.extract_visible_text`, which
+        ignores the element's ancestors.  A visible element's text is its
+        slice of the walk's raw text; a hidden one's is empty when it hides
+        itself, and is extracted afresh when only an ancestor hides it.
         """
         if element is None:
             element = self.root
-        if not normalize:
-            return extract_visible_text(element, normalize=False)
-        cached = self._visible_text.get(element)
-        if cached is None:
-            cached = extract_visible_text(element)
-            self._visible_text[element] = cached
-        return cached
+        pos = self._position.get(element)
+        if pos is None or self._hidden[pos]:
+            if pos is not None and _element_hidden(element):
+                return ""
+            return extract_visible_text(element, normalize=normalize)
+        text = self._text[self._starts[pos]:self._ends[pos]]
+        return " ".join(text.split()) if normalize else text
 
     def document_text(self) -> str:
-        """Visible text of the whole document (cached)."""
+        """Visible text of the whole document, normalized from the raw text.
+
+        Recomputed per call rather than cached: indexed documents can live
+        for a whole selection window, and one copy of the text is enough.
+        """
         return self.visible_text()
 
     # -- accessible names ---------------------------------------------------
@@ -209,89 +279,15 @@ class DocumentIndex:
         return cached
 
 
-class NaiveDocumentAccessor:
-    """The reference access path: same interface, no index, no caching.
-
-    Every query delegates to the naive traversal APIs on
-    :class:`~repro.html.dom.Document` (and the module-level visibility /
-    accessibility functions).  Property tests compare this accessor against
-    :class:`DocumentIndex` on random DOMs, and the benchmark measures the
-    throughput gap between the two.
-    """
-
-    def __init__(self, document: Document) -> None:
-        self.document = document
-
-    @property
-    def root(self) -> Element:
-        return self.document.root
-
-    @property
-    def url(self) -> str | None:
-        return self.document.url
-
-    @property
-    def html_lang(self) -> str | None:
-        return self.document.html_lang
-
-    @property
-    def title(self) -> str | None:
-        return self.document.title
-
-    def elements(self, tag: str | None = None, *,
-                 predicate: Callable[[Element], bool] | None = None) -> list[Element]:
-        return self.document.find_all(tag, predicate=predicate)
-
-    def elements_of(self, *tags: str) -> list[Element]:
-        wanted = frozenset(tag.lower() for tag in tags)
-        return [element for element in self.document.iter_elements()
-                if element.tag in wanted]
-
-    def elements_with_role(self, role: str) -> list[Element]:
-        wanted = role.strip().lower()
-        return [element for element in self.document.iter_elements()
-                if element.role == wanted]
-
-    def get_element_by_id(self, element_id: str) -> Element | None:
-        if not element_id:
-            # Empty ids are never indexed; keep the scan consistent.
-            return None
-        for element in self.document.iter_elements():
-            if element.id == element_id:
-                return element
-        return None
-
-    def labels_for(self, element_id: str) -> list[Element]:
-        return self.document.labels_for(element_id)
-
-    def is_visible(self, node: Node) -> bool:
-        return is_visible(node)
-
-    def visible_text(self, element: Element | None = None, *,
-                     normalize: bool = True) -> str:
-        if element is None:
-            element = self.document.root
-        return extract_visible_text(element, normalize=normalize)
-
-    def document_text(self) -> str:
-        return self.visible_text()
-
-    def accessible_name(self, element: Element) -> AccessibleNameResult:
-        return accessible_name(element, self.document)
-
-
-#: Either access path; consumers are written against this shape.
-DocumentAccessor = DocumentIndex | NaiveDocumentAccessor
-
-
-def ensure_index(source: Document | DocumentIndex | NaiveDocumentAccessor,
-                 ) -> DocumentAccessor:
-    """Coerce a document (or an accessor) to an accessor.
+def ensure_index(source: Document | DocumentIndex) -> DocumentIndex:
+    """Coerce a document to its accessor.
 
     A plain :class:`~repro.html.dom.Document` resolves to its cached
     :class:`DocumentIndex`, which is what makes index sharing between
-    consumers automatic; an accessor passes through untouched.
+    consumers automatic.  Anything else is already an accessor with the
+    index's query surface (the index itself, or the naive oracle the parity
+    tests pass in) and passes through untouched.
     """
-    if isinstance(source, (DocumentIndex, NaiveDocumentAccessor)):
-        return source
-    return source.index()
+    if isinstance(source, Document):
+        return source.index()
+    return source

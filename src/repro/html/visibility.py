@@ -16,6 +16,13 @@ the synthetic corpus and the overwhelming majority of real pages:
 * attribute values (``alt``, ``aria-label``, ``title`` ...) are *not* visible
   text — they are accessibility metadata and are handled separately by
   :mod:`repro.core.extraction`.
+
+The recursive walk here is the reference definition of visible text.  The
+pipeline reads it from :class:`~repro.html.index.DocumentIndex` instead,
+whose one pass over a page emits the same parts in the same order, so the
+visible text of the page or of a visible subtree is a slice of that pass's
+text.  Normalization collapses whitespace with ``" ".join(text.split())``:
+``str.split`` and the regex ``\\s`` agree on every code point.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from repro.html.dom import Document, Element, Node, NON_RENDERED_TAGS, TextNode
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.html.index import DocumentIndex
 
-_WHITESPACE_RE = re.compile(r"\s+")
 _DISPLAY_NONE_RE = re.compile(r"display\s*:\s*none", re.IGNORECASE)
 _VISIBILITY_HIDDEN_RE = re.compile(r"visibility\s*:\s*hidden", re.IGNORECASE)
 
@@ -43,24 +49,29 @@ _BLOCK_TAGS = frozenset({
 })
 
 
-def _style_hides(element: Element) -> bool:
-    style = element.get("style")
+def _element_hidden(element: Element) -> bool:
+    """Whether this element (ignoring ancestors) hides its subtree.
+
+    Reads the attribute dict directly: its keys are already lowercase, and
+    this runs once per element of every indexed page.
+    """
+    tag = element.tag
+    if tag in NON_RENDERED_TAGS:
+        return True
+    attributes = element.attributes
+    if not attributes:
+        return False
+    if "hidden" in attributes:
+        return True
+    aria_hidden = attributes.get("aria-hidden")
+    if aria_hidden and aria_hidden.strip().lower() == "true":
+        return True
+    if tag == "input" and (attributes.get("type") or "").lower() == "hidden":
+        return True
+    style = attributes.get("style")
     if not style:
         return False
     return bool(_DISPLAY_NONE_RE.search(style) or _VISIBILITY_HIDDEN_RE.search(style))
-
-
-def _element_hidden(element: Element) -> bool:
-    """Whether this element (ignoring ancestors) hides its subtree."""
-    if element.tag in NON_RENDERED_TAGS:
-        return True
-    if element.has_attr("hidden"):
-        return True
-    if (element.get("aria-hidden") or "").strip().lower() == "true":
-        return True
-    if element.tag == "input" and (element.get("type") or "").lower() == "hidden":
-        return True
-    return _style_hides(element)
 
 
 def is_visible(node: Node, index: "DocumentIndex | None" = None) -> bool:
@@ -86,6 +97,8 @@ def is_visible(node: Node, index: "DocumentIndex | None" = None) -> bool:
 
 
 def _collect_visible_text(element: Element, parts: list[str]) -> None:
+    # DocumentIndex.__init__ emits these same parts in this order; a change
+    # here must be made there too (tests/test_property_document_index.py).
     if _element_hidden(element):
         return
     for child in element.children:
@@ -110,8 +123,8 @@ def extract_visible_text(document: Document | Element, *, normalize: bool = True
             spaces and the result is stripped, mirroring how rendered text is
             perceived.
         index: An optional :class:`~repro.html.index.DocumentIndex`; when
-            given, the (normalized) result comes from its per-element memo,
-            so repeated extraction of the same subtree costs one traversal.
+            given, the result is a slice of the text its walk already
+            collected, so no subtree is traversed again.
 
     Returns:
         The visible text.  Empty string when nothing is visible.
@@ -123,7 +136,7 @@ def extract_visible_text(document: Document | Element, *, normalize: bool = True
     _collect_visible_text(root, parts)
     text = "".join(parts)
     if normalize:
-        text = _WHITESPACE_RE.sub(" ", text).strip()
+        text = " ".join(text.split())
     return text
 
 

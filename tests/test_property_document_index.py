@@ -4,17 +4,22 @@ Random DOMs — nested containers, hidden subtrees, dangling and duplicate
 ids, ``label[for]`` associations, ``aria-labelledby`` references, every
 studied element type — are generated as markup and parsed; then every query
 the index answers (selection, visibility, visible text, accessible names)
-is compared against the naive-traversal reference implementation
-(:class:`~repro.html.index.NaiveDocumentAccessor` /the module-level
-functions).  A final end-to-end check rebuilds real pipeline records with
-``use_index=False`` and asserts byte-identical serialization.
+is compared against the naive-traversal reference implementation (the
+``NaiveDocumentAccessor`` oracle in ``tests/document_index_oracle.py`` / the
+module-level functions).  Text runs carry non-ASCII whitespace, hidden
+blocks sit between them, and visible elements nest inside hidden ones, so
+the index's slices of its one-walk text meet every separator and fallback
+case.  A final end-to-end check rebuilds real pipeline records over the
+naive accessor and asserts byte-identical serialization.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.audit.engine import AuditEngine
 from repro.audit.rules import ALL_RULES
@@ -22,9 +27,10 @@ from repro.core.extraction import extract_page
 from repro.core.pipeline import record_from_crawl
 from repro.html.accessibility import accessible_name
 from repro.html.dom import Element
-from repro.html.index import NaiveDocumentAccessor
 from repro.html.parser import parse_html
 from repro.html.visibility import extract_visible_text, is_visible
+
+from document_index_oracle import NaiveDocumentAccessor, naive_documents
 
 #: Small id pool so generated references collide, dangle and duplicate; the
 #: empty id exercises the "never indexed" edge on every access path.
@@ -40,7 +46,14 @@ _HIDING = st.sampled_from([
     " style='visibility:hidden'",
 ])
 
-_WORDS = st.text(alphabet="abc xyzধন", min_size=0, max_size=12)
+#: Whitespace that ``str.split`` and ``\s`` both collapse beyond the ASCII
+#: space: tab, newline, no-break space, ideographic space, line separator
+#: and the file separator control.
+_SPACES = "\t\n\u00a0\u3000\u2028\x1c"
+
+_WORDS = st.text(alphabet="abc xyzধন" + _SPACES, min_size=0, max_size=12)
+
+_HIDDEN = st.sampled_from([" hidden", " aria-hidden='true'", " style='display:none'"])
 
 
 @st.composite
@@ -52,7 +65,8 @@ def _leaf(draw) -> str:
         "text", "img", "img_plain", "a", "a_plain", "button", "role_button",
         "input_text", "input_submit", "input_image", "input_hidden",
         "textarea", "select", "label", "iframe", "frame", "object",
-        "object_blank", "svg", "summary", "labelledby",
+        "object_blank", "svg", "summary", "labelledby", "br",
+        "hidden_block", "hidden_inline", "shown_in_hidden",
     ]))
     if kind == "text":
         return word
@@ -94,6 +108,20 @@ def _leaf(draw) -> str:
         return f"<svg><title>{word}</title><path d='M0 0'/></svg>"
     if kind == "summary":
         return f"<details><summary>{word}</summary><p>{word}</p></details>"
+    if kind == "br":
+        return f"{word}<br>{word}"
+    if kind == "hidden_block":
+        # A hidden block between two text runs: its parent still emits the
+        # separators around it, so the runs do not join.
+        block = draw(st.sampled_from(["div", "p", "li", "button", "label"]))
+        return f"{word}<{block}{draw(_HIDDEN)}>{word}</{block}>{word}"
+    if kind == "hidden_inline":
+        return f"{word}<span{draw(_HIDDEN)}>{word}</span>{word}"
+    if kind == "shown_in_hidden":
+        # Visible elements whose only hidden part is an ancestor: their own
+        # visible text still counts (the index's fallback path).
+        return (f"<div{draw(_HIDDEN)}><section id='{ident}'>{word}<b>{word}</b>"
+                f"<p>{word}</p></section><a href='/h'>{word}</a></div>")
     return f"<span aria-labelledby='{ident}'>{word}</span>"
 
 
@@ -156,13 +184,24 @@ class TestIndexedQueriesMatchNaive:
 
     @settings(max_examples=40, deadline=None)
     @given(random_pages())
+    # Fixed pages for the cases random pages reach only sometimes: hidden
+    # block and inline siblings between text runs, visible elements inside
+    # hidden ancestors, a self-hidden element and non-ASCII whitespace.
+    @example(parse_html("<body>one<div hidden>x</div>two<span hidden>y</span>three</body>"))
+    @example(parse_html("<body><div aria-hidden='true'><p>kept <b>text</b></p></div>"
+                        "<p hidden>x <b>y</b></p>z</body>"))
+    @example(parse_html("<body>\u3000a\u00a0\tb\u2028<p>c\x1c</p>\n</body>"))
     def test_visible_text(self, document) -> None:
         index = document.index()
         assert index.document_text() == extract_visible_text(document)
         assert extract_visible_text(document, index=index) == extract_visible_text(document)
+        assert (index.visible_text(normalize=False)
+                == extract_visible_text(document, normalize=False))
         for element in document.iter_elements():
             assert index.visible_text(element) == extract_visible_text(element)
-            # Memoized second read is stable, and the module-level function
+            assert (index.visible_text(element, normalize=False)
+                    == extract_visible_text(element, normalize=False))
+            # A second read is stable, and the module-level function
             # consults a supplied index.
             assert index.visible_text(element) == extract_visible_text(element)
             assert (extract_visible_text(element, index=index)
@@ -187,14 +226,32 @@ class TestIndexedQueriesMatchNaive:
     @settings(max_examples=40, deadline=None)
     @given(random_pages())
     def test_extraction_and_audit_parity(self, document) -> None:
-        assert extract_page(document) == extract_page(document, use_index=False)
+        reference = NaiveDocumentAccessor(document)
+        assert extract_page(document) == extract_page(reference)
         engine = AuditEngine()
         indexed = engine.audit_document(document).to_dict()
-        naive = engine.audit_document(document, use_index=False).to_dict()
+        naive = engine.audit_document(reference).to_dict()
         assert indexed == naive
-        # use_index=False unwraps an accessor argument back to the naive
-        # path instead of letting the index ride through.
-        assert engine.audit_document(document.index(), use_index=False).to_dict() == naive
+        # An index passed in directly takes the indexed path.
+        assert engine.audit_document(document.index()).to_dict() == indexed
+
+
+class TestWhitespaceNormalization:
+    def test_split_join_equals_regex_collapse_on_every_code_point(self) -> None:
+        """``" ".join(t.split())`` is the ``\\s+`` collapse plus strip."""
+        whitespace = re.compile(r"\s+")
+        # Every code point between two letters, in one string: a code point
+        # one side treats as whitespace and the other does not splits it
+        # differently.
+        everything = "x".join(map(chr, range(sys.maxunicode + 1)))
+        assert (" ".join(everything.split())
+                == whitespace.sub(" ", everything).strip())
+        spaces = [chr(cp) for cp in range(sys.maxunicode + 1)
+                  if chr(cp).isspace() or whitespace.fullmatch(chr(cp))]
+        assert len(spaces) == 29
+        for space in spaces:
+            text = f"{space}a{space}{space}b{space}"
+            assert " ".join(text.split()) == whitespace.sub(" ", text).strip() == "a b"
 
 
 class TestEndToEndByteParity:
@@ -205,7 +262,8 @@ class TestEndToEndByteParity:
         for outcome in small_pipeline_result.selection_outcomes.values():
             for selected in outcome.selected:
                 indexed = record_from_crawl(selected.record, engine)
-                naive = record_from_crawl(selected.record, engine, use_index=False)
+                naive = record_from_crawl(selected.record, engine,
+                                          documents=naive_documents(selected.record))
                 assert (json.dumps(indexed.to_dict(), ensure_ascii=False, sort_keys=True)
                         == json.dumps(naive.to_dict(), ensure_ascii=False, sort_keys=True))
                 compared += 1
@@ -218,7 +276,8 @@ class TestEndToEndByteParity:
         naive_records = []
         for outcome in small_pipeline_result.selection_outcomes.values():
             naive_records.extend(
-                record_from_crawl(selected.record, engine, use_index=False)
+                record_from_crawl(selected.record, engine,
+                                  documents=naive_documents(selected.record))
                 for selected in outcome.selected)
         naive_lines = [json.dumps(record.to_dict(), ensure_ascii=False)
                        for record in naive_records]
