@@ -43,15 +43,6 @@ def _dataset_bytes(result, tmp_path, name: str) -> bytes:
 
 
 class TestParallelParity:
-    def test_four_worker_thread_run_is_byte_identical(self, tmp_path) -> None:
-        sequential = LangCrUXPipeline(PipelineConfig(**PARITY_CONFIG)).run()
-        parallel = LangCrUXPipeline(PipelineConfig(**PARITY_CONFIG, workers=4,
-                                                   executor="thread")).run()
-        assert _dataset_bytes(sequential, tmp_path, "seq.jsonl") == \
-            _dataset_bytes(parallel, tmp_path, "par.jsonl")
-        assert sequential.qualifying_site_counts() == parallel.qualifying_site_counts()
-        assert sequential.vantages == parallel.vantages
-
     def test_process_backend_is_byte_identical(self, tmp_path) -> None:
         config = dict(countries=("bd", "jp"), sites_per_country=4, seed=5,
                       transport_failure_rate=0.0)
@@ -85,15 +76,6 @@ class TestWorkerCountEdges:
             ThreadedExecutor(0)
         with pytest.raises(ValueError):
             ProcessExecutor(-1)
-
-    def test_single_worker_thread_backend_matches_serial(self, tmp_path) -> None:
-        config = dict(countries=("il",), sites_per_country=3, seed=3,
-                      transport_failure_rate=0.0)
-        sequential = LangCrUXPipeline(PipelineConfig(**config)).run()
-        one_worker = LangCrUXPipeline(PipelineConfig(**config, workers=1,
-                                                     executor="thread")).run()
-        assert _dataset_bytes(sequential, tmp_path, "a.jsonl") == \
-            _dataset_bytes(one_worker, tmp_path, "b.jsonl")
 
     def test_more_workers_than_countries_is_clamped_and_identical(self, tmp_path) -> None:
         config = dict(countries=("bd", "th"), sites_per_country=3, seed=9,

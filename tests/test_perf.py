@@ -5,7 +5,7 @@ reporting), the instrumentation threaded through the post-fetch stages, the
 pipeline plumbing (``PipelineConfig.profile`` →
 ``PipelineResult.perf_metrics``) and the two invariants profiling must not
 break: dataset bytes are identical with and without it, and counter totals
-are identical across executor backends (thread == process), which proves the
+are identical across executor backends (serial == process), which proves the
 counters round-trip through the process executor's pickling.
 """
 
@@ -239,16 +239,17 @@ class TestPipelineProfile:
         profiled.dataset.save_jsonl(profiled_path)
         assert plain_path.read_bytes() == profiled_path.read_bytes()
 
-    def test_thread_and_process_counter_totals_match(self) -> None:
+    def test_serial_and_process_counter_totals_match(self) -> None:
         """Deterministic totals round-trip unchanged through process pickling."""
-        base = dict(profile=True, workers=2, **self.CONFIG)
-        threaded = _run(PipelineConfig(executor="thread", **base)).perf_metrics
-        processed = _run(PipelineConfig(executor="process", **base)).perf_metrics
-        assert threaded is not None and processed is not None
+        base = dict(profile=True, **self.CONFIG)
+        serial = _run(PipelineConfig(executor="serial", **base)).perf_metrics
+        processed = _run(PipelineConfig(executor="process", workers=2,
+                                        **base)).perf_metrics
+        assert serial is not None and processed is not None
         # Timings differ between backends; call counts and op counters are
         # deterministic and must agree exactly.
-        assert threaded.stage_calls() == processed.stage_calls()
-        assert threaded.counters == processed.counters
+        assert serial.stage_calls() == processed.stage_calls()
+        assert serial.counters == processed.counters
 
     def test_subsharded_run_collects_perf(self) -> None:
         result = _run(PipelineConfig(profile=True, workers=2, executor="thread",

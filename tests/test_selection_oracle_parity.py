@@ -31,9 +31,8 @@ def expected() -> bytes:
 
 @pytest.mark.parametrize("sub_shard_size", [None, 3], ids=["whole-country", "windows-3"])
 @pytest.mark.parametrize("executor", [dict(executor="serial"),
-                                      dict(executor="thread", workers=2),
                                       dict(executor="process", workers=2)],
-                         ids=["serial", "thread", "process"])
+                         ids=["serial", "process"])
 def test_pipeline_matches_the_sequential_oracle(expected, tmp_path, executor,
                                                 sub_shard_size) -> None:
     config = PipelineConfig(**CONFIG, **executor, sub_shard_size=sub_shard_size)

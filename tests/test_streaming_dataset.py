@@ -226,13 +226,9 @@ def sequential_bytes(tmp_path_factory) -> bytes:
 class TestStreamingPipelineParity:
     @pytest.mark.parametrize("overrides", [
         dict(max_in_flight=4),
-        dict(workers=3, executor="thread"),
-        dict(workers=2, executor="thread", max_in_flight=5),
         dict(workers=2, executor="process", max_in_flight=3),
         dict(sub_shard_size=3),
-        dict(workers=3, executor="thread", sub_shard_size=2),
-    ], ids=["serial-batched", "thread", "thread-batched", "process-batched",
-            "serial-windowed", "thread-windowed"])
+    ], ids=["serial-batched", "process-batched", "serial-windowed"])
     def test_streamed_output_is_byte_identical(self, overrides, sequential_bytes,
                                                tmp_path) -> None:
         stream_path = tmp_path / "streamed.jsonl"

@@ -8,7 +8,7 @@ writer sections.  Covered here:
 * edge shapes of the sub-sharded walk — a zero-window (empty-ranking)
   country, a quota that fills inside its first window, and a
   ``sub_shard_size`` larger than the whole country — each byte-identical to
-  the sequential in-memory build under serial, thread and process backends;
+  the sequential in-memory build under the serial and process backends;
 * the observability surface — ``time_to_first_record_s``,
   ``record_buffer_peak`` and the ``mem.*`` / ``stream.*`` perf gauges;
 * metrics attribution — run-level transport/perf totals equal the merged
@@ -31,10 +31,9 @@ from repro.core.pipeline import (
 
 EXECUTORS = [
     dict(executor="serial", workers=1),
-    dict(executor="thread", workers=3),
     dict(executor="process", workers=2),
 ]
-EXECUTOR_IDS = ["serial", "thread", "process"]
+EXECUTOR_IDS = ["serial", "process"]
 
 
 def _streamed_bytes(config: PipelineConfig, tmp_path, *, web=None, crux=None,

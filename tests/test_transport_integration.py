@@ -60,7 +60,7 @@ def _build_bytes(config: PipelineConfig, tmp_path, name: str) -> bytes:
 
 class TestLiveParity:
     @pytest.mark.parametrize("executor,workers", [
-        ("serial", 1), ("thread", 4), ("process", 4),
+        ("serial", 1), ("process", 4),
     ])
     def test_http_run_matches_simulated_bytes(self, live_server, simulated_bytes,
                                               tmp_path, executor, workers) -> None:
