@@ -12,7 +12,7 @@ walk.
 This harness makes the crawl latency *real*: it wraps the simulated
 transport so every send genuinely awaits its drawn latency (scaled down to
 keep the benchmark fast), then selects the same single-country quota
-sequentially and sub-sharded over a 4-worker thread pool, reporting
+sequentially and sub-sharded over a 4-worker process pool, reporting
 records-per-second for both.  The sub-sharded walk must beat — and in
 practice approaches ``WORKERS`` times — the sequential one, while producing
 exactly the same :class:`~repro.core.site_selection.SelectionOutcome`; both
@@ -26,11 +26,12 @@ wall-clock gate) — outcome parity is always asserted.
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import random
 import time
 
-from repro.core.executor import ThreadedExecutor, plan_chunks
+from repro.core.executor import ProcessExecutor, plan_chunks
 from repro.core.site_selection import RankOrderCommitter, SelectionOutcome, SiteSelector
 from repro.crawler.crawler import LangCruxCrawler
 from repro.crawler.fetcher import Fetcher, SimulatedTransport
@@ -93,22 +94,30 @@ def _crawler(web: SyntheticWeb) -> LangCruxCrawler:
     return LangCruxCrawler(session)
 
 
-def _subsharded_select(web: SyntheticWeb, table) -> SelectionOutcome:
-    """Windows on a thread pool, committed in rank order until the quota fills.
+@functools.lru_cache(maxsize=1)
+def _web_and_table():
+    """The country's web and ranking, built once per process."""
+    sites = SiteGenerator(get_profile("bd"), seed=BENCHMARK_SEED).generate_sites(CANDIDATES)
+    return SyntheticWeb(sites), build_crux_table(sites)
+
+
+def _evaluate_window(window: tuple[int, int]):
+    """One window's evaluations (module-level, so a pool worker can run it)."""
+    web, table = _web_and_table()
+    evaluations = SiteSelector(_crawler(web), "bn").evaluate_window(
+        table.iter_ranked("bd"), *window, quota=QUOTA)
+    return [evaluation.without_documents() for evaluation in evaluations]
+
+
+def _subsharded_select(table) -> SelectionOutcome:
+    """Windows on a process pool, committed in rank order until the quota fills.
 
     Each window evaluates on its own crawler (own session/robots cache);
     the per-host RNG split keeps every crawl identical regardless.
     """
     committer = RankOrderCommitter(QUOTA, threshold=0.5)
-
-    def evaluate(window: tuple[int, int]):
-        if committer.filled:
-            return []
-        return SiteSelector(_crawler(web), "bn").evaluate_window(
-            table.iter_ranked("bd"), *window, quota=QUOTA)
-
-    stream = ThreadedExecutor(WORKERS).run_ordered(
-        evaluate, plan_chunks(table.size("bd"), SUB_SHARD_SIZE))
+    stream = ProcessExecutor(WORKERS).run_ordered(
+        _evaluate_window, plan_chunks(table.size("bd"), SUB_SHARD_SIZE))
     try:
         for result in stream:
             committer.commit_chunk(result.value)
@@ -120,9 +129,7 @@ def _subsharded_select(web: SyntheticWeb, table) -> SelectionOutcome:
 
 
 def test_subsharded_selection_throughput(reporter) -> None:
-    sites = SiteGenerator(get_profile("bd"), seed=BENCHMARK_SEED).generate_sites(CANDIDATES)
-    web = SyntheticWeb(sites)
-    table = build_crux_table(sites)
+    web, table = _web_and_table()
 
     started = time.perf_counter()
     sequential = SiteSelector(_crawler(web), "bn").select(
@@ -130,7 +137,7 @@ def test_subsharded_selection_throughput(reporter) -> None:
     sequential_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    subsharded = _subsharded_select(web, table)
+    subsharded = _subsharded_select(table)
     subsharded_s = time.perf_counter() - started
 
     sequential_rps = len(sequential.selected) / sequential_s

@@ -2,16 +2,15 @@
 
 The paper crawls and audits its twelve countries independently, which makes
 the pipeline embarrassingly parallel.  This harness builds the same
-12-country synthetic web sequentially and with 4-worker thread and process
-backends, then reports wall-clock, records-per-second and the speedup per
-backend — while asserting that every backend produces *byte-identical*
-JSONL, the determinism contract of :mod:`repro.core.executor`.
+12-country synthetic web sequentially and with the 4-worker process
+backend, then reports wall-clock, records-per-second and the speedup —
+while asserting that both produce *byte-identical* JSONL, the determinism
+contract of :mod:`repro.core.executor`.
 
 The >= 2x records-per-second target at 4 workers needs real CPU parallelism
-(the hot loops — page generation, HTML parsing, audits — are pure Python,
-so the thread backend cannot beat the GIL); the assertion therefore applies
-to the process backend and only when the machine exposes at least four
-usable cores.  On smaller machines the harness still runs, reports the
+(the hot loops — page generation, HTML parsing, audits — are pure Python);
+the assertion therefore applies only when the machine exposes at least
+four usable cores.  On smaller machines the harness still runs, reports the
 measured numbers and verifies parity.  Set
 ``LANGCRUX_BENCH_ASSERT_SPEEDUP=0`` to demote the throughput target to a
 report-only line (CI does this: shared runners are too noisy for a
@@ -66,16 +65,12 @@ def test_parallel_pipeline_scaling(benchmark, reporter) -> None:
     sequential, sequential_s = _timed_run(_config())
     baseline_rps = len(sequential.dataset) / sequential_s
 
-    threaded, threaded_s = _timed_run(_config(workers=WORKERS, executor="thread"))
     process_result, process_s = benchmark.pedantic(
         lambda: _timed_run(_config(workers=WORKERS, executor="process")),
         rounds=1, iterations=1,
     )
 
-    runs = {
-        "thread": (threaded, threaded_s),
-        "process": (process_result, process_s),
-    }
+    runs = {"process": (process_result, process_s)}
     cpus = _usable_cpus()
     lines = [
         f"usable CPU cores: {cpus}",
@@ -96,9 +91,7 @@ def test_parallel_pipeline_scaling(benchmark, reporter) -> None:
         "config": {"workers": WORKERS, "countries": 12,
                    "records": len(sequential.dataset), "cpus": cpus},
         "sequential_rps": baseline_rps,
-        "thread_rps": len(threaded.dataset) / threaded_s,
         "process_rps": len(process_result.dataset) / process_s,
-        "thread_speedup": sequential_s / threaded_s,
         "process_speedup": sequential_s / process_s,
         "target_speedup": TARGET_SPEEDUP,
     })
@@ -110,7 +103,7 @@ def test_parallel_pipeline_scaling(benchmark, reporter) -> None:
         assert result.qualifying_site_counts() == sequential.qualifying_site_counts()
 
     # Per-shard metrics cover every country on every backend.
-    for result in (sequential, threaded, process_result):
+    for result in (sequential, process_result):
         assert set(result.shard_metrics) == set(sequential.selection_outcomes)
 
     # Throughput: only meaningful where 4 shards can genuinely run at once,

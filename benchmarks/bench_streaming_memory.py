@@ -49,13 +49,13 @@ WORKERS = 3
 MAX_WINDOWED_RATIO = 1.5
 MIN_BUFFERED_RATIO = 2.0
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 #: Executors whose ratios are hard-asserted in strict mode.  Their crawl
 #: state lives in this process where tracemalloc can see it; the process
 #: backend's lives in its workers (the parent sees only merge-side state),
 #: so its rows are report-only.
-ASSERTED_EXECUTORS = ("serial", "thread")
+ASSERTED_EXECUTORS = ("serial",)
 
 
 def _config(quota: int, **overrides) -> PipelineConfig:

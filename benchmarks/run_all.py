@@ -28,8 +28,8 @@ BENCH_DIR = Path(__file__).parent
 RESULTS_DIR = BENCH_DIR / "results"
 
 #: data keys surfaced in the summary table, in display order.
-HEADLINE_KEYS = ("sequential_rps", "batched_rps", "thread_rps", "process_rps",
-                 "subsharded_rps", "cached_rps", "speedup", "thread_speedup",
+HEADLINE_KEYS = ("sequential_rps", "batched_rps", "process_rps",
+                 "subsharded_rps", "cached_rps", "speedup",
                  "process_speedup", "large_page_speedup", "script_speedup",
                  "ngram_speedup", "profile_overhead_pct", "target_speedup")
 

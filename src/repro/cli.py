@@ -132,12 +132,13 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--no-vpn", action="store_true",
                        help="crawl from a cloud vantage instead of country VPN exits")
     build.add_argument("--workers", type=_positive_int, default=1,
-                       help="country shards crawled concurrently; any worker count "
-                            "produces byte-identical output (default: 1)")
+                       help="selection windows evaluated concurrently (a country "
+                            "is one window unless --sub-shard-size splits it); "
+                            "any worker count produces byte-identical output "
+                            "(default: 1)")
     build.add_argument("--executor", choices=EXECUTOR_KINDS, default="auto",
                        help="execution backend: 'auto' picks serial for one worker "
-                            "and a thread pool otherwise; 'process' uses a process "
-                            "pool for CPU-bound scaling (default: auto)")
+                            "and a process pool otherwise (default: auto)")
     build.add_argument("--max-in-flight", type=_positive_int, default=1,
                        help="concurrent candidate fetches per country shard via the "
                             "async batched fetch layer; any value produces "

@@ -21,8 +21,8 @@ Modules:
 * :mod:`repro.core.kizuki` — the language-aware audit extension and the
   Figure 6 re-scoring.
 * :mod:`repro.core.pipeline` — end-to-end orchestration (Figure 1).
-* :mod:`repro.core.executor` — serial/thread/process execution backends for
-  the per-country shards, with deterministic ordered merging.
+* :mod:`repro.core.executor` — serial/process execution backends for the
+  selection windows, with deterministic ordered merging.
 """
 
 from repro.core.dataset import (
@@ -35,7 +35,6 @@ from repro.core.executor import (
     PipelineExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadedExecutor,
     create_executor,
 )
 from repro.core.kizuki import Kizuki, KizukiConfig, KizukiImageAltRule
@@ -53,7 +52,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineExecutor",
     "SerialExecutor",
-    "ThreadedExecutor",
     "ProcessExecutor",
     "create_executor",
 ]

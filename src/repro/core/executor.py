@@ -1,54 +1,50 @@
-"""Parallel execution of per-country pipeline shards.
+"""Execution backends for the pipeline's selection windows.
 
 The paper's methodology (Figure 1) treats every language–country pair as an
 independent unit of work: each country gets its own VPN vantage, its own
-CrUX ranking walk, its own crawl session and its own audits.  Nothing flows
-between countries until the final dataset assembly, which makes the pipeline
-an embarrassingly parallel workload.  This module supplies the execution
-layer that exploits that independence without giving up determinism:
+CrUX ranking walk, its own crawl session and its own audits.  The pipeline
+cuts that work into *selection windows* (rank slices of one country's
+ranking, or the whole ranking), and nothing flows between windows until
+their rank-ordered merge.  This module supplies the execution layer that
+exploits that independence without giving up determinism:
 
-* :class:`PipelineExecutor` — the abstraction: ``run()`` dispatches a shard
-  function over a sequence of shards and streams :class:`ShardResult`
+* :class:`PipelineExecutor` — the abstraction: ``run()`` dispatches a work
+  function over a sequence of work units and streams :class:`ShardResult`
   envelopes back *as they complete*; ``run_ordered()`` re-sequences that
   stream into submission order with a reorder buffer, which is what makes
   parallel output byte-identical to sequential output.
-* :class:`SerialExecutor` — the reference backend: runs shards inline, in
-  order, with zero threading machinery.  Parallel backends are verified
+* :class:`SerialExecutor` — the reference backend: runs units inline, in
+  order, with zero concurrency machinery.  Parallel backends are verified
   against it.
-* :class:`ThreadedExecutor` — a ``concurrent.futures.ThreadPoolExecutor``
-  backend.  Workers push finished results into a *bounded* queue, so a slow
-  consumer exerts backpressure on the pool instead of letting completed
-  shard payloads pile up in memory.  (Note: ``run_ordered`` must keep
-  draining that queue to reach a straggling early shard, so the *ordered*
-  view can buffer up to O(shards) results when shard durations are extreme;
-  the bound applies to the unordered ``run`` stream.)
 * :class:`ProcessExecutor` — a ``ProcessPoolExecutor`` backend for true
   CPU parallelism (page generation, HTML parsing and audits are pure-Python
-  hot loops that threads cannot speed up under the GIL).  Shard functions
-  and their arguments must be picklable.
+  hot loops).  Work functions and their arguments must be picklable.
+
+The distributed work queue is a backend too
+(:class:`repro.dist.coordinator.Coordinator`): its worker processes claim
+windows from a shared directory, and it yields their results in plan order.
 
 Determinism contract
 --------------------
-Backends never inject randomness: every shard derives its own RNG from
-``stable_seed(seed, "transport", country)`` inside the shard function, and
-``run_ordered`` merges results in submission order.  Consequently a run with
-``workers=4`` serializes to JSONL byte-for-byte identically to a sequential
-run with the same :class:`~repro.core.pipeline.PipelineConfig` — a property
-pinned by ``tests/test_core_executor.py``.
+Backends never inject randomness: every window derives its own RNG from
+``stable_seed(seed, "transport", country, host)`` inside the window
+function, and ``run_ordered`` merges results in submission order.
+Consequently a run with ``workers=4`` serializes to JSONL byte-for-byte
+identically to a sequential run with the same
+:class:`~repro.core.pipeline.PipelineConfig` — a property pinned by
+``tests/test_core_executor.py``.
 
 Failure contract
 ----------------
-The first shard exception aborts the run: pending shards are cancelled, the
-pool is drained and shut down, and the original exception is re-raised
-wrapped in :class:`ExecutorError` (with the failing shard attached).
+The first exception aborts the run: pending units are cancelled, the pool
+is drained and shut down, and the original exception is re-raised wrapped
+in :class:`ExecutorError` (with the failing unit attached).
 
 Sizing
 ------
 ``create_executor("auto", workers)`` picks :class:`SerialExecutor` for one
-worker and :class:`ThreadedExecutor` otherwise; pass ``"process"``
-explicitly for CPU-bound scaling across cores.  Worker counts are clamped
-to the number of shards, so over-provisioning (``workers > countries``) is
-harmless.
+worker and :class:`ProcessExecutor` otherwise.  Over-provisioning
+(``workers > windows``) changes no output; the surplus workers sit idle.
 """
 
 from __future__ import annotations
@@ -60,13 +56,8 @@ from concurrent import futures
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-#: Default capacity of the bounded result queue between workers and the
-#: consuming thread.  Small on purpose: it bounds how many finished shard
-#: payloads (crawl records, HTML snapshots) can be buffered at once.
-DEFAULT_QUEUE_SIZE = 8
-
 #: Executor kinds accepted by :func:`create_executor` (and the CLI).
-EXECUTOR_KINDS = ("auto", "serial", "thread", "process")
+EXECUTOR_KINDS = ("auto", "serial", "process")
 
 
 def plan_chunks(total: int, size: int) -> list[tuple[int, int]]:
@@ -153,6 +144,9 @@ class PipelineExecutor(ABC):
     #: Number of concurrent workers the backend may use.
     workers: int = 1
 
+    #: Name of the root span of a traced run on this backend.
+    trace_root: str = "build"
+
     @abstractmethod
     def run(self, fn: Callable[[Any], Any],
             shards: Sequence[Any] | Iterable[Any]) -> Iterator[ShardResult]:
@@ -218,74 +212,6 @@ class SerialExecutor(PipelineExecutor):
             del value  # the consumer owns the result: no two alive at once
 
 
-class ThreadedExecutor(PipelineExecutor):
-    """Thread-pool backend with bounded-queue result streaming.
-
-    Each worker computes a shard and then *blocks* handing the result into a
-    bounded queue; the thread cannot pick up its next shard until the
-    consumer has drained a slot, so memory stays bounded regardless of how
-    uneven shard durations are.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: int, *, queue_size: int = DEFAULT_QUEUE_SIZE) -> None:
-        if workers < 1:
-            raise ValueError(f"ThreadedExecutor requires at least one worker, got {workers}")
-        if queue_size < 1:
-            raise ValueError(f"queue_size must be positive, got {queue_size}")
-        self.workers = workers
-        self.queue_size = queue_size
-
-    def run(self, fn: Callable[[Any], Any],
-            shards: Sequence[Any] | Iterable[Any]) -> Iterator[ShardResult]:
-        shard_list = list(shards)
-        if not shard_list:
-            return
-        results: queue.Queue = queue.Queue(maxsize=self.queue_size)
-
-        def job(index: int, shard: Any) -> None:
-            started = time.perf_counter()
-            try:
-                value = fn(shard)
-            except BaseException as error:  # delivered to the consumer, re-raised
-                # there; BaseException included so a SystemExit inside a shard
-                # cannot leave the consumer blocked on an empty queue forever.
-                results.put((index, shard, None, 0.0, error))
-                return
-            results.put((index, shard, value, time.perf_counter() - started, None))
-
-        pool = futures.ThreadPoolExecutor(
-            max_workers=min(self.workers, len(shard_list)),
-            thread_name_prefix="langcrux-shard",
-        )
-        pending = [pool.submit(job, index, shard)
-                   for index, shard in enumerate(shard_list)]
-        consumed = 0
-        try:
-            for _ in range(len(shard_list)):
-                index, shard, value, duration_s, error = results.get()
-                consumed += 1
-                if error is not None:
-                    if not isinstance(error, Exception):
-                        raise error  # KeyboardInterrupt/SystemExit: not wrapped
-                    raise ExecutorError(f"shard {shard!r} failed: {error}",
-                                        shard=shard) from error
-                yield ShardResult(index=index, shard=shard, value=value,
-                                  duration_s=duration_s)
-                del value  # the consumer owns the result now
-        finally:
-            # Every job that was not cancelled before starting puts exactly
-            # one envelope (errors included), so after cancelling we know
-            # precisely how many are still owed and can block on the queue's
-            # condition variable for each — no polling, no busy-wait, and no
-            # worker left blocked on a full queue.
-            cancelled = sum(1 for future in pending if future.cancel())
-            for _ in range(len(pending) - cancelled - consumed):
-                results.get()
-            pool.shutdown(wait=True)
-
-
 def _timed_call(fn: Callable[[Any], Any], index: int,
                 shard: Any) -> tuple[int, Any, Any, float, Exception | None]:
     """Run one shard in a worker process, measuring its wall-clock time.
@@ -309,11 +235,8 @@ class ProcessExecutor(PipelineExecutor):
     ``functools.partial`` over a module-level shard function).  Completed
     futures are streamed through a completion queue so the consumer sees
     results as they finish rather than after a full barrier.  The queue
-    holds future *references*, not payloads — payloads live on the futures
-    either way, so bounding it would buy no memory and only risk a
-    done-callback blocking while it holds pool-internal state; it is
-    therefore unbounded (``queue_size`` is kept for signature compatibility
-    with the thread backend and validated, but has no effect here).
+    holds future *references*, not payloads, and at most ``workers + 1`` of
+    them (the submission window below).
 
     Shards are consumed *lazily* through a bounded submission window of
     ``workers + 1`` outstanding tasks (enough to keep every worker busy
@@ -327,13 +250,10 @@ class ProcessExecutor(PipelineExecutor):
 
     name = "process"
 
-    def __init__(self, workers: int, *, queue_size: int = DEFAULT_QUEUE_SIZE) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"ProcessExecutor requires at least one worker, got {workers}")
-        if queue_size < 1:
-            raise ValueError(f"queue_size must be positive, got {queue_size}")
         self.workers = workers
-        self.queue_size = queue_size
 
     def run(self, fn: Callable[[Any], Any],
             shards: Sequence[Any] | Iterable[Any]) -> Iterator[ShardResult]:
@@ -402,18 +322,16 @@ class ProcessExecutor(PipelineExecutor):
                 pool.shutdown(wait=True)
 
 
-def create_executor(kind: str = "auto", workers: int = 1, *,
-                    queue_size: int = DEFAULT_QUEUE_SIZE) -> PipelineExecutor:
+def create_executor(kind: str = "auto", workers: int = 1) -> PipelineExecutor:
     """Build an executor backend.
 
     Args:
         kind: One of :data:`EXECUTOR_KINDS`.  ``"auto"`` selects
             :class:`SerialExecutor` for a single worker and
-            :class:`ThreadedExecutor` otherwise.
-        workers: Number of concurrent shards (clamped to the shard count at
-            run time).  Must be >= 1; a value larger than the number of
-            shards is allowed and harmless.
-        queue_size: Capacity of the bounded result queue.
+            :class:`ProcessExecutor` otherwise.
+        workers: Number of concurrent work units.  Must be >= 1; a value
+            larger than the number of units is allowed (surplus workers
+            idle).
 
     Raises:
         ValueError: For an unknown ``kind`` or a non-positive worker count.
@@ -422,10 +340,6 @@ def create_executor(kind: str = "auto", workers: int = 1, *,
         raise ValueError(f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}")
     if workers < 1:
         raise ValueError(f"executor requires at least one worker, got {workers}")
-    if kind == "auto":
-        kind = "serial" if workers == 1 else "thread"
-    if kind == "serial":
+    if kind == "serial" or (kind == "auto" and workers == 1):
         return SerialExecutor()
-    if kind == "thread":
-        return ThreadedExecutor(workers, queue_size=queue_size)
-    return ProcessExecutor(workers, queue_size=queue_size)
+    return ProcessExecutor(workers)

@@ -17,9 +17,10 @@ The pipeline chains every stage of the methodology:
 Stages 2–4 are independent per country, and within a country per
 candidate, so the unit of work is one **selection window**: a rank slice
 of one country's ranking (:class:`SelectionSubShard`), evaluated by the
-pure function :func:`execute_selection_subshard` on whichever backend from
-:mod:`repro.core.executor` runs it.  Without ``sub_shard_size`` each
-country is a single window over its whole ranking; with it, rankings are
+pure function :func:`execute_selection_subshard` on whichever backend runs
+it (serial or process pool from :mod:`repro.core.executor`, or the
+distributed work queue of :mod:`repro.dist`).  Without ``sub_shard_size``
+each country is a single window over its whole ranking; with it, rankings are
 cut into windows of that many candidates so one large country can occupy
 every worker.  A window constructs its own transport, crawl session and
 audit engine, crawls and measures its candidates (``max_in_flight`` at a
@@ -30,16 +31,17 @@ by ``stable_seed(seed, "transport", country, domain)``, so a window's
 result depends on nothing but the config — not on worker counts, window
 sizes or completion interleavings.
 
-One merge step serves every backend (:meth:`LangCrUXPipeline.run`, and
-:class:`~repro.dist.coordinator.Coordinator` across processes): window
-results are committed in strict rank order through the country's
+One dispatch-and-merge loop serves every backend
+(:meth:`LangCrUXPipeline._run_windows`; the distributed
+:class:`~repro.dist.coordinator.Coordinator` is just another executor):
+window results are committed in strict rank order through the country's
 :class:`CountryMerge`, whose
 :class:`~repro.core.site_selection.RankOrderCommitter` discards evaluations
-past the quota uncounted.  Queued windows of a filled country
-short-circuit via a filled-countries flag, and once every country is
-finalized the executor stream is closed.  Selected sets, rejection
-counters and output JSONL are byte-identical to the sequential walk for
-every ``(executor, workers, sub_shard_size, max_in_flight)`` combination.
+past the quota uncounted.  Windows of a filled country are never
+dispatched, and once every country is finalized the executor stream is
+closed.  Selected sets, rejection counters and output JSONL are
+byte-identical to the sequential walk for every ``(executor, workers,
+sub_shard_size, max_in_flight)`` combination.
 
 :meth:`LangCrUXPipeline.run` can stream records straight to disk through
 :class:`~repro.core.dataset.StreamingDatasetWriter` (``stream_to``).
@@ -67,14 +69,13 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro import perf
 from repro.audit.engine import AuditEngine
 from repro.core.dataset import LangCrUXDataset, SiteRecord, StreamingDatasetWriter
 from repro.core.executor import (
     PipelineExecutor,
-    ProcessExecutor,
     ShardMetrics,
     create_executor,
     plan_chunks,
@@ -132,11 +133,13 @@ class PipelineConfig:
             simulated transport.
         language_threshold: Minimum native share of visible text (0.5).
         respect_robots: Whether the crawler honours robots.txt.
-        workers: Number of selection windows evaluated concurrently.  The
-            default of 1 keeps the historical sequential behaviour; any
-            value produces the same dataset bytes (per-window seeding).
+        workers: Number of selection windows evaluated concurrently (a
+            worker runs windows, not whole countries, so one large country
+            can occupy several workers when ``sub_shard_size`` is set).
+            The default of 1 is the sequential build; any value produces
+            the same dataset bytes (per-window seeding).
         executor: Execution backend — ``"auto"`` (serial for one worker,
-            threads otherwise), ``"serial"``, ``"thread"`` or ``"process"``.
+            a process pool otherwise), ``"serial"`` or ``"process"``.
         max_in_flight: Concurrent candidate crawls inside one window (the
             async batched fetch layer).  1 keeps the sequential walk;
             any value produces the same dataset bytes (per-candidate RNG
@@ -183,8 +186,8 @@ class PipelineConfig:
             are identical with and without it.
         trace_id: The run's trace id.  Normally left ``None`` (the process
             that starts the build allocates one and stamps it here so
-            every worker — thread, process-pool or distributed — joins the
-            same trace); set explicitly to adopt an external trace.
+            every worker — process-pool or distributed — joins the same
+            trace); set explicitly to adopt an external trace.
         trace_parent: Span id the run's spans nest under — the build root
             span, propagated to workers through pickling or ``build.json``.
     """
@@ -282,23 +285,39 @@ def _web_fingerprint(config: PipelineConfig) -> tuple:
             config.candidate_multiplier)
 
 
-#: Per-process memo of built webs, so a process-pool worker handling several
-#: country shards generates the (cheap, lazy) site metadata only once.
-_WEB_CACHE: dict[tuple, tuple[SyntheticWeb, CruxTable]] = {}
+#: The process's memoized web: ``(fingerprint, (web, crux))`` of the last
+#: config asked for, or ``None``.  One slot, so a process never holds more
+#: than one memoized web.
+_WEB_MEMO: tuple[tuple, tuple[SyntheticWeb, CruxTable]] | None = None
 
 
-def _cached_web(config: PipelineConfig) -> tuple[SyntheticWeb, CruxTable]:
+def web_for_config(config: PipelineConfig) -> tuple[SyntheticWeb, CruxTable]:
+    """The web and ranking for ``config``, built once per process.
+
+    The pipeline and every window it runs in the same process share one
+    web, and a pool worker handling many windows builds it at most once
+    (a forked worker inherits the parent's).  Regenerated pages are
+    seeded, so sharing the web cannot change any output.
+    """
+    global _WEB_MEMO
     fingerprint = _web_fingerprint(config)
-    if fingerprint not in _WEB_CACHE:
-        _WEB_CACHE[fingerprint] = build_web_for_config(config)
-    return _WEB_CACHE[fingerprint]
+    if _WEB_MEMO is None or _WEB_MEMO[0] != fingerprint:
+        _WEB_MEMO = None  # release the old web before building the new one
+        _WEB_MEMO = (fingerprint, build_web_for_config(config))
+    return _WEB_MEMO[1]
+
+
+def _forget_web() -> None:
+    """Empty the memo; a finished build's web then lives only on its result."""
+    global _WEB_MEMO
+    _WEB_MEMO = None
 
 
 def _ensure_tracing(config: PipelineConfig):
     """Join the run's trace in this process, or ``None`` when untraced.
 
     The per-process idempotence of :func:`repro.obs.trace.ensure` makes
-    this safe to call from every shard/window entry point: the first call
+    this safe to call from every window entry point: the first call
     in a worker process opens its trace file parented under the build's
     ``trace_parent``; later calls are a lock and two comparisons.
     """
@@ -556,9 +575,8 @@ class SelectionSubShardResult:
     retained on the outcome), so a process backend never ships rejected
     HTML parent-ward.  ``records`` holds, aligned with ``evaluations``, the
     speculatively built site record for every candidate that would qualify
-    (``None`` otherwise).  A ``skipped`` result carries no evaluations: the
-    worker observed that the country's quota had already filled and
-    short-circuited.
+    (``None`` otherwise) — or, in a result decoded from a distributed
+    worker's file, that record's serialized JSONL line.
 
     ``trace_span`` carries the window span's identity (trace id, span id,
     parent span id) when the evaluating process traced the window — the
@@ -568,8 +586,7 @@ class SelectionSubShardResult:
 
     spec: SelectionSubShard
     evaluations: list[CandidateEvaluation]
-    records: list[SiteRecord | None]
-    skipped: bool = False
+    records: list[SiteRecord | str | None]
     transport_metrics: TransportMetrics | None = None
     perf_metrics: perf.PerfCounters | None = None
     trace_span: dict | None = None
@@ -599,7 +616,6 @@ def _walk_window(config: PipelineConfig, spec: SelectionSubShard, web: Synthetic
 
 def execute_selection_subshard(config: PipelineConfig, spec: SelectionSubShard,
                                web_and_crux: tuple[SyntheticWeb, CruxTable] | None = None,
-                               filled_countries: set[str] | None = None,
                                ) -> SelectionSubShardResult:
     """Speculatively evaluate one rank window of one country (pure).
 
@@ -617,24 +633,12 @@ def execute_selection_subshard(config: PipelineConfig, spec: SelectionSubShard,
     Args:
         config: The pipeline configuration.
         spec: The window to evaluate.
-        web_and_crux: The prebuilt web and ranking.  ``None`` (the process
-            backend) regenerates them deterministically from ``config`` via
-            a per-process cache instead of pickling the whole web into the
-            worker.
-        filled_countries: Optional live set of countries whose quota already
-            filled; windows of those return an empty ``skipped`` result
-            without crawling.  Only same-process backends can observe
-            updates (a process backend pickles the set's state at submit
-            time), which is safe either way: skipping is a pure
-            optimisation, the merge discards past-quota evaluations
-            regardless.
+        web_and_crux: A caller-supplied web and ranking.  ``None`` (the
+            usual case) takes them from the process's memo
+            (:func:`web_for_config`) instead of pickling the whole web into
+            a pool worker.
     """
-    if filled_countries is not None and spec.country_code in filled_countries:
-        obs_trace.event("window.skipped", {"country": spec.country_code,
-                                           "chunk": spec.chunk_index})
-        return SelectionSubShardResult(spec=spec, evaluations=[], records=[],
-                                       skipped=True)
-    web, crux = web_and_crux if web_and_crux is not None else _cached_web(config)
+    web, crux = web_and_crux if web_and_crux is not None else web_for_config(config)
     tracer = _ensure_tracing(config)
     window_span = tracer.start_span(
         "shard" if config.sub_shard_size is None else "window",
@@ -686,12 +690,12 @@ def execute_selection_subshard(config: PipelineConfig, spec: SelectionSubShard,
 class CountryMerge:
     """One country's rank-order merge: window results in, records out.
 
-    The single-host merge loop and the distributed coordinator both commit
-    every window through :meth:`commit_window` and close the country with
-    :meth:`finalize`.  The state holds no site records: accepted payloads
-    go to the run's :class:`RecordSink` the moment their window commits,
-    so it carries only the committer and counters — the memory contract of
-    windowed streaming.
+    The merge loop (:meth:`LangCrUXPipeline._run_windows`) commits every
+    window through :meth:`commit_window` and closes the country with
+    :meth:`finalize`, whichever backend ran the windows.  The state holds
+    no site records: accepted payloads go to the run's :class:`RecordSink`
+    the moment their window commits, so it carries only the committer and
+    counters — the memory contract of windowed streaming.
     """
 
     country_code: str
@@ -713,21 +717,19 @@ class CountryMerge:
 
     def commit_window(self, evaluations: Sequence[CandidateEvaluation],
                       payloads: Sequence[SiteRecord | str | None],
-                      duration_s: float,
-                      commit: Callable[[str, list], None], *,
+                      duration_s: float, sink: "RecordSink", *,
                       slim: bool = False) -> int:
         """Commit one window's rank-ordered evaluations; returns records committed.
 
         ``payloads`` is aligned with ``evaluations``: the window's worker
         built one for exactly the candidates the committer can accept (same
-        fetch + threshold rule) — a :class:`SiteRecord` single-host, its
-        serialized JSONL line in a distributed build.  The accepted ones go
-        to ``commit`` (:meth:`RecordSink.commit` or
-        :meth:`RecordSink.commit_serialized`) at once: windows commit in
-        rank order and countries finalize in configured order, so
-        committing mid-country still writes the stream in exactly the
-        sequential byte order.  With ``slim`` the just-committed slice of
-        the outcome drops its crawl payloads in the same step.
+        fetch + threshold rule) — a :class:`SiteRecord`, or its serialized
+        JSONL line when a distributed worker built it.  The accepted ones
+        go to ``sink`` at once: windows commit in rank order and countries
+        finalize in configured order, so committing mid-country still
+        writes the stream in exactly the sequential byte order.  With
+        ``slim`` the just-committed slice of the outcome drops its crawl
+        payloads in the same step.
         """
         accepted: list = []
         for evaluation, payload in zip(evaluations, payloads):
@@ -736,7 +738,7 @@ class CountryMerge:
             if self.committer.commit(evaluation) is not None:
                 assert payload is not None
                 accepted.append(payload)
-        commit(self.country_code, accepted)
+        sink.commit(self.country_code, accepted)
         self.records_committed += len(accepted)
         self.windows_merged += 1
         self.duration_s += duration_s
@@ -794,12 +796,11 @@ class RecordSink:
     """Routes committed site records to disk and/or memory as they commit.
 
     One sink serves a whole run.  The merge hands it one window's records
-    at a time; the distributed coordinator hands it pre-serialized record
-    lines decoded from worker result files (:meth:`commit_serialized`).
-    The sink opens a writer *section* per country lazily on the country's
-    first record and closes it via :meth:`finish_country`, so a country's
-    lines land contiguously no matter how many windows they arrive in, and
-    the writer refuses to commit while a country is half-written.
+    at a time.  The sink opens a writer *section* per country lazily on
+    the country's first record and closes it via :meth:`finish_country`,
+    so a country's lines land contiguously no matter how many windows they
+    arrive in, and the writer refuses to commit while a country is
+    half-written.
 
     It also observes the record flow: ``committed`` (total records),
     ``first_record_s`` (time from sink creation to the first committed
@@ -818,39 +819,33 @@ class RecordSink:
         self._started = time.perf_counter()
         self._open_country: str | None = None
 
-    def commit(self, country_code: str, records: Sequence[SiteRecord]) -> None:
-        """Commit a rank-contiguous batch of ``country_code`` records."""
-        if not records:
+    def commit(self, country_code: str, payloads: Sequence[SiteRecord | str]) -> None:
+        """Commit a rank-contiguous batch of ``country_code`` records.
+
+        A payload is a :class:`SiteRecord` (written through
+        :meth:`StreamingDatasetWriter.write`) or a record line a
+        distributed worker already serialized in exactly that format,
+        written verbatim — byte-identical without rebuilding the record.
+        Lines can only be streamed, never kept in memory.
+        """
+        if not payloads:
             return
-        self._observe(len(records))
+        if self.dataset is not None and isinstance(payloads[0], str):
+            raise ValueError("serialized record lines can only be streamed: "
+                             "run with stream_to and keep_in_memory=False")
+        self._observe(len(payloads))
         if self.writer is not None:
             self._enter_section(country_code)
-            self.writer.write_many(records)
+            for payload in payloads:
+                if isinstance(payload, str):
+                    self.writer.write_serialized(payload)
+                else:
+                    self.writer.write(payload)
         if self.dataset is not None:
-            self.dataset.extend(records)
-        self.committed += len(records)
+            self.dataset.extend(payloads)
+        self.committed += len(payloads)
         obs_trace.event("records.commit", {"country": country_code,
-                                           "records": len(records)})
-
-    def commit_serialized(self, country_code: str, lines: Sequence[str]) -> None:
-        """Commit pre-serialized record lines (no in-memory accumulation).
-
-        Distributed workers serialize each accepted record exactly as
-        :meth:`StreamingDatasetWriter.write` would, so the coordinator can
-        merge them into the stream verbatim — byte-identical to a
-        single-host build without reconstructing :class:`SiteRecord`\\ s.
-        """
-        if not lines:
-            return
-        if self.writer is None:
-            raise ValueError("commit_serialized requires a stream writer")
-        self._observe(len(lines))
-        self._enter_section(country_code)
-        for line in lines:
-            self.writer.write_serialized(line)
-        self.committed += len(lines)
-        obs_trace.event("records.commit", {"country": country_code,
-                                           "records": len(lines)})
+                                           "records": len(payloads)})
 
     def _observe(self, batch: int) -> None:
         if self.first_record_s is None:
@@ -877,18 +872,16 @@ class LangCrUXPipeline:
                  *, web: SyntheticWeb | None = None,
                  crux_table: CruxTable | None = None) -> None:
         self.config = config or PipelineConfig()
-        self._web = web
-        self._crux = crux_table
-        self._web_supplied = web is not None or crux_table is not None
+        # A caller-supplied web travels to every window; otherwise each
+        # process takes the config's web from its memo.
+        self._supplied = (web, crux_table) \
+            if web is not None and crux_table is not None else None
 
     # -- stage 1: the web ---------------------------------------------------------
 
     def build_web(self) -> tuple[SyntheticWeb, CruxTable]:
         """Generate candidate sites for every configured country."""
-        if self._web is not None and self._crux is not None:
-            return self._web, self._crux
-        self._web, self._crux = build_web_for_config(self.config)
-        return self._web, self._crux
+        return self._supplied or web_for_config(self.config)
 
     # -- stage 2: vantage points -----------------------------------------------------
 
@@ -897,9 +890,6 @@ class LangCrUXPipeline:
         return vantage_for_country(self.config, country_code)
 
     # -- stages 3-5: selection windows, merged into the dataset -------------------------
-
-    def _executor(self) -> PipelineExecutor:
-        return create_executor(self.config.executor, self.config.workers)
 
     def run(self, executor: PipelineExecutor | None = None, *,
             stream_to: str | Path | None = None,
@@ -945,26 +935,27 @@ class LangCrUXPipeline:
                              "the records would otherwise be lost")
         if slim_outcomes is None:
             slim_outcomes = not keep_in_memory
+        backend = executor if executor is not None else create_executor(
+            self.config.executor, self.config.workers)
         # Tracing + live status are set up before anything traced runs.
         # The allocated trace id and the root span's id are stamped into
-        # the config so every worker — thread, pickled process-pool or
-        # (via build.json) distributed — parents its spans correctly.
+        # the config so every worker — pickled process-pool or (via
+        # build.json) distributed — parents its spans correctly.
         tracer = _ensure_tracing(self.config)
         root_span = None
         reporter = None
         if tracer is not None:
             self.config.trace_id = tracer.trace_id
             root_span = tracer.start_span(
-                "build", {"countries": ",".join(self.config.countries),
-                          "quota": self.config.sites_per_country,
-                          "seed": self.config.seed,
-                          "executor": self.config.executor,
-                          "workers": self.config.workers})
+                backend.trace_root,
+                {"countries": ",".join(self.config.countries),
+                 "quota": self.config.sites_per_country,
+                 "seed": self.config.seed,
+                 "executor": backend.name, "workers": backend.workers})
             self.config.trace_parent = root_span.span_id
             tracer.default_parent = root_span.span_id
         try:
             web, crux = self.build_web()
-            backend = executor if executor is not None else self._executor()
             specs = plan_selection_windows(self.config, crux)
             dataset = LangCrUXDataset()
             writer = StreamingDatasetWriter(stream_to) if stream_to is not None else None
@@ -982,8 +973,7 @@ class LangCrUXPipeline:
                              "countries_total": len(self.config.countries)})
                 reporter.start()
             try:
-                for outcome, metric in self._run_windows(backend, specs, web, crux,
-                                                         sink, totals,
+                for outcome, metric in self._run_windows(backend, specs, sink, totals,
                                                          slim=slim_outcomes):
                     vantages[metric.shard] = vantage_for_country(self.config, metric.shard)
                     outcomes[metric.shard] = outcome
@@ -999,6 +989,7 @@ class LangCrUXPipeline:
             else:
                 streamed = 0
         finally:
+            _forget_web()
             if reporter is not None:
                 reporter.stop()
             if tracer is not None:
@@ -1018,71 +1009,55 @@ class LangCrUXPipeline:
                               record_buffer_peak=sink.buffer_peak)
 
     def _run_windows(self, backend: PipelineExecutor, specs: list[SelectionSubShard],
-                     web: SyntheticWeb, crux: CruxTable, sink: RecordSink,
-                     totals: _RunTotals, *, slim: bool,
+                     sink: RecordSink, totals: _RunTotals, *, slim: bool,
                      ) -> Iterator[tuple[SelectionOutcome, ShardMetrics]]:
         """Dispatch selection windows and merge them into finalized countries.
 
-        Windows are submitted country by country in configured order (so
+        This is the only loop that dispatches and commits windows, for
+        every backend.  The backend consumes a lazily filtered generator of
+        ``specs`` (country by country in configured order, so
         ``run_ordered`` delivers each country's windows contiguously and in
-        rank order) and committed through the country's
+        rank order) and each result is committed through the country's
         :class:`CountryMerge`, which hands accepted records to ``sink`` per
         committed window.  A country finalizes — and is yielded, preserving
         the streaming order — as soon as its quota fills or its ranking
-        exhausts; its remaining windows are skipped via the shared filled
-        flag or discarded on arrival.  Once every country has finalized,
-        the executor stream is drained (folding the cost of still-in-flight
-        speculative windows into ``totals``) and closed.
+        exhausts.  The generator is evaluated when the backend dispatches,
+        so a finalized country's remaining windows are never dispatched;
+        results of its windows already in flight are discarded on arrival.
+        Once every country has finalized, the executor stream is drained
+        (folding the cost of still-in-flight speculative windows into
+        ``totals``) and closed.
 
         Resident state is bounded by in-flight windows, not whole
-        countries: the thread backend's bounded result queue and the
-        process backend's bounded lazy submission window cap undelivered
-        results at O(workers + queue) windows.
+        countries: backends pull windows from the generator only as they
+        hand results back (the process pool keeps ``workers + 1`` in
+        flight, the work queue awaits one at a time).
         """
         config = self.config
-        merges = {country: CountryMerge.for_country(config, country, position)
-                  for position, country in enumerate(config.countries)}
+        order = [CountryMerge.for_country(config, country, position)
+                 for position, country in enumerate(config.countries)]
+        merges = {merge.country_code: merge for merge in order}
         for spec in specs:
             merges[spec.country_code].remaining_windows += 1
-        filled: set[str] = set()
-        if isinstance(backend, ProcessExecutor):
-            # Workers in other processes cannot observe the live flag (and
-            # rebuild the web per process when it is config-derived), so the
-            # *parent* filters instead: the process backend consumes its
-            # work lazily through a bounded submission window, and this
-            # generator is evaluated at submit time — once a country
-            # finalizes, none of its still-unsubmitted windows are ever
-            # scheduled, bounding speculation waste to in-flight windows on
-            # every backend.
-            web_and_crux = (web, crux) if self._web_supplied else None
-            window_fn = functools.partial(execute_selection_subshard, config,
-                                          web_and_crux=web_and_crux)
-            work: Sequence[SelectionSubShard] | Iterator[SelectionSubShard] = (
-                spec for spec in specs if spec.country_code not in filled)
-        else:
-            window_fn = functools.partial(execute_selection_subshard, config,
-                                          web_and_crux=(web, crux),
-                                          filled_countries=filled)
-            work = specs
-        order = [merges[country] for country in config.countries]
+        work = (spec for spec in specs if not merges[spec.country_code].done)
+        window_fn = functools.partial(execute_selection_subshard, config,
+                                      web_and_crux=self._supplied)
         finalized = 0
 
         def finalize(merge: CountryMerge) -> tuple[SelectionOutcome, ShardMetrics]:
-            filled.add(merge.country_code)
             return merge.committer.outcome, merge.finalize(sink)
 
         stream = backend.run_ordered(window_fn, work)
         try:
             for result in stream:
                 window: SelectionSubShardResult = result.value
-                duration_s = result.duration_s
                 # Every window that ran lands in the run totals, including
                 # speculation discarded because its country already filled.
                 totals.merge(window.transport_metrics, window.perf_metrics)
                 merge = merges[window.spec.country_code]
                 if not merge.done:
                     merge.commit_window(window.evaluations, window.records,
-                                        duration_s, sink.commit, slim=slim)
+                                        result.duration_s, sink, slim=slim)
                     merge.remaining_windows -= 1
                 # Hold no window while the executor runs the next one.
                 del result, window
@@ -1094,11 +1069,9 @@ class LangCrUXPipeline:
                     finalized += 1
                 if finalized == len(order):
                     # Every country is final; what remains in the stream is
-                    # speculative windows already in flight.  Drain them so
-                    # their transport/perf cost reaches the run totals
-                    # (queued-but-unstarted windows short-circuit as cheap
-                    # ``skipped`` results or are never submitted at all),
-                    # then close, which cancels nothing still pending.
+                    # speculative windows already in flight (the generator
+                    # dispatches nothing more).  Drain them so their
+                    # transport/perf cost reaches the run totals, then close.
                     for late in stream:
                         totals.merge(late.value.transport_metrics,
                                      late.value.perf_metrics)

@@ -9,8 +9,8 @@ audit entries referencing unknown rules.
 
 ``validate_dataset`` never raises on bad data — it returns a
 :class:`ValidationReport` listing every issue, so callers can decide whether
-to fail hard (the pipeline does, via ``raise_for_issues``) or to drop the
-offending records.
+to fail hard (``raise_for_issues``) or to drop the offending records.  No
+build or serving path calls it yet.
 """
 
 from __future__ import annotations

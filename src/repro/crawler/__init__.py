@@ -16,7 +16,7 @@ that methodology against the synthetic web:
 * :mod:`repro.crawler.transport` — the production transport stack: real
   HTTP, politeness, retries with backoff and the on-disk crawl cache.
 * :mod:`repro.crawler.session` — a crawl session bound to a country vantage.
-* :mod:`repro.crawler.records` — crawl records (page snapshots) and JSONL IO.
+* :mod:`repro.crawler.records` — crawl records (page snapshots).
 * :mod:`repro.crawler.crawler` — the LangCrUX crawler tying it all together.
 
 The fetch path is ``async`` from the transport up to the crawler; callers
@@ -29,7 +29,7 @@ from repro.crawler.http import URL, Request, Response, Headers
 from repro.crawler.vpn import VantagePoint, VPNProvider, VPNManager, DEFAULT_PROVIDERS
 from repro.crawler.fetcher import AsyncTransport, Fetcher, FetchError, SimulatedTransport
 from repro.crawler.frontier import Frontier, FrontierEntry
-from repro.crawler.records import PageSnapshot, CrawlRecord, write_records_jsonl, read_records_jsonl
+from repro.crawler.records import PageSnapshot, CrawlRecord
 from repro.crawler.crawler import LangCruxCrawler, CrawlerConfig
 
 __all__ = [
@@ -49,8 +49,6 @@ __all__ = [
     "FrontierEntry",
     "PageSnapshot",
     "CrawlRecord",
-    "write_records_jsonl",
-    "read_records_jsonl",
     "LangCruxCrawler",
     "CrawlerConfig",
 ]

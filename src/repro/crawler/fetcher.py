@@ -105,8 +105,8 @@ class SimulatedTransport:
     async def send(self, request: Request) -> Response:
         # Never awaits: the whole send runs in one step of the event loop.
         # The lock keeps the counter and each host's draw sequence coherent
-        # when thread-backend windows share one transport, each on its own
-        # loop; per-host streams make the ordering across hosts irrelevant.
+        # when callers on several threads share one transport, each on its
+        # own loop; per-host streams make the ordering across hosts irrelevant.
         with self._lock:
             self.requests_sent += 1
             rng = self._rng_for(request.url.host)

@@ -1,21 +1,14 @@
 """Crawl metrics.
 
-Large crawls need operational visibility: how many origins succeeded, what
-the failure modes were, how fast the (simulated) network answered, and how
-those numbers break down per country.  :class:`CrawlMetrics` accumulates
-those statistics from :class:`~repro.crawler.records.CrawlRecord` objects,
-either incrementally during a crawl (via :meth:`observe`) or after the fact
-from a stored record file.
+Large crawls need operational visibility: how many requests hit the
+network, how much the crawl cache absorbed, how often retries and rate
+limiting kicked in.  :class:`TransportMetrics` carries those counters.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields
-from typing import Iterable
-
-from repro.crawler.records import CrawlRecord
-from repro.stats.summary import SummaryStats, percentile, summarize
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -84,108 +77,4 @@ class TransportMetrics:
             lines.append(f"retries {self.retries}"
                          f" (waited {self.retry_wait_s:.2f}s),"
                          f" robots denied {self.robots_denied}")
-        return lines
-
-
-@dataclass
-class CountryCrawlStats:
-    """Per-country crawl counters."""
-
-    origins: int = 0
-    succeeded: int = 0
-    blocked: int = 0
-    errored: int = 0
-    pages_fetched: int = 0
-
-    @property
-    def success_rate(self) -> float:
-        return self.succeeded / self.origins if self.origins else 0.0
-
-
-@dataclass
-class CrawlMetrics:
-    """Aggregate crawl statistics.
-
-    Attributes:
-        by_country: Per-country counters.
-        status_counts: HTTP status code histogram over all fetched pages.
-        latencies_ms: Fetch latencies of successful pages.
-    """
-
-    by_country: dict[str, CountryCrawlStats] = field(default_factory=dict)
-    status_counts: dict[int, int] = field(default_factory=dict)
-    latencies_ms: list[float] = field(default_factory=list)
-
-    # -- accumulation ----------------------------------------------------------
-
-    def observe(self, record: CrawlRecord) -> None:
-        """Fold one crawl record into the metrics."""
-        stats = self.by_country.setdefault(record.country_code, CountryCrawlStats())
-        stats.origins += 1
-        stats.pages_fetched += len(record.pages)
-        if record.succeeded:
-            stats.succeeded += 1
-        else:
-            homepage = record.homepage
-            if homepage is not None and homepage.status == 403:
-                stats.blocked += 1
-            else:
-                stats.errored += 1
-        for page in record.pages:
-            self.status_counts[page.status] = self.status_counts.get(page.status, 0) + 1
-            if page.ok:
-                self.latencies_ms.append(page.elapsed_ms)
-
-    @classmethod
-    def from_records(cls, records: Iterable[CrawlRecord]) -> "CrawlMetrics":
-        metrics = cls()
-        for record in records:
-            metrics.observe(record)
-        return metrics
-
-    # -- derived statistics ----------------------------------------------------------
-
-    @property
-    def total_origins(self) -> int:
-        return sum(stats.origins for stats in self.by_country.values())
-
-    @property
-    def total_pages(self) -> int:
-        return sum(stats.pages_fetched for stats in self.by_country.values())
-
-    @property
-    def overall_success_rate(self) -> float:
-        succeeded = sum(stats.succeeded for stats in self.by_country.values())
-        return succeeded / self.total_origins if self.total_origins else 0.0
-
-    def latency_summary(self) -> SummaryStats:
-        return summarize(self.latencies_ms)
-
-    def latency_percentile(self, q: float) -> float:
-        """The ``q``-th latency percentile (raises on an empty sample)."""
-        return percentile(self.latencies_ms, q)
-
-    def error_rate(self) -> float:
-        """Fraction of fetched pages that did not return a 2xx status."""
-        total = sum(self.status_counts.values())
-        if not total:
-            return 0.0
-        ok = sum(count for status, count in self.status_counts.items() if 200 <= status < 300)
-        return 1.0 - ok / total
-
-    # -- reporting -------------------------------------------------------------------
-
-    def summary_lines(self) -> list[str]:
-        """Human-readable summary, one line per country plus totals."""
-        lines = [f"{'country':<8}{'origins':>9}{'ok':>6}{'blocked':>9}{'errors':>8}{'pages':>8}"]
-        for country, stats in sorted(self.by_country.items()):
-            lines.append(f"{country:<8}{stats.origins:>9}{stats.succeeded:>6}"
-                         f"{stats.blocked:>9}{stats.errored:>8}{stats.pages_fetched:>8}")
-        latency = self.latency_summary()
-        lines.append(f"total origins {self.total_origins}, pages {self.total_pages}, "
-                     f"success rate {self.overall_success_rate * 100:.1f}%, "
-                     f"page error rate {self.error_rate() * 100:.1f}%")
-        if latency.count:
-            lines.append(f"latency ms: median {latency.median:.0f}, mean {latency.mean:.0f}, "
-                         f"p95 {self.latency_percentile(95):.0f}")
         return lines

@@ -1,4 +1,4 @@
-"""Crawl records and their on-disk format.
+"""Crawl records.
 
 A crawl produces one :class:`CrawlRecord` per origin visited, containing one
 :class:`PageSnapshot` per fetched page.  Records are the interface between
@@ -6,16 +6,14 @@ the crawling layer and the measurement layer: everything the analyses need
 (HTML, final URL, served variant, fetch outcome, rank, country) is captured
 here, so analyses can be re-run without re-crawling.
 
-Records serialize to JSON Lines, one record per line, which is the format the
-`LangCrUX` dataset files use as well.
+Records round-trip through plain dicts (:meth:`CrawlRecord.to_dict` /
+:meth:`CrawlRecord.from_dict`), which is how distributed window results
+carry them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Iterable, Iterator
 
 
 @dataclass
@@ -86,27 +84,3 @@ class CrawlRecord:
         pages = [PageSnapshot(**page) for page in payload.get("pages", [])]
         fields = {key: value for key, value in payload.items() if key != "pages"}
         return cls(pages=pages, **fields)
-
-
-def write_records_jsonl(records: Iterable[CrawlRecord], path: str | Path) -> int:
-    """Write records to ``path`` in JSON Lines format; returns the count written."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record.to_dict(), ensure_ascii=False))
-            handle.write("\n")
-            count += 1
-    return count
-
-
-def read_records_jsonl(path: str | Path) -> Iterator[CrawlRecord]:
-    """Stream records back from a JSON Lines file."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            yield CrawlRecord.from_dict(json.loads(line))

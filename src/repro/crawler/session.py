@@ -30,8 +30,8 @@ from repro.crawler.vpn import VantagePoint
 class VirtualClock:
     """A simulated clock advanced by recorded latencies instead of sleeping.
 
-    Advancing is thread-safe so thread-backend windows sharing one session
-    can account latencies without racing the counter.
+    Advancing is thread-safe so callers on several threads sharing one
+    session can account latencies without racing the counter.
     """
 
     def __init__(self) -> None:

@@ -588,7 +588,7 @@ class _ManifestIndex:
 
     One instance is shared per (process, directory) by
     :class:`CachingTransport`; all access is serialized on an internal
-    lock, so concurrent transports (thread-backend windows) can share it.
+    lock, so transports on different threads can share it.
     """
 
     def __init__(self, cache_dir: Path) -> None:
@@ -667,7 +667,7 @@ class CachingTransport:
     exists complete or not at all, and concurrent writers storing the same
     content race benignly.  Manifests are append-only and *per writer* —
     each :class:`CachingTransport` appends to its own uniquely named
-    manifest, so concurrent shard workers (threads or processes) sharing
+    manifest, so concurrent window workers (in-process or not) sharing
     one cache directory never interleave writes; loading merges every
     ``manifest-*.jsonl`` present, skipping torn trailing lines, which is
     what makes a crash-interrupted crawl resumable: the next run replays
@@ -687,7 +687,7 @@ class CachingTransport:
     stack per window, and without sharing, window *k* would re-read the
     *k-1* manifests earlier windows wrote (O(n²) over a run).  Before
     declaring a *miss* the index rescans the directory for manifest growth,
-    so entries appended by other writers — thread-backend siblings and,
+    so entries appended by other writers — earlier windows and,
     crucially, other worker *processes* of a distributed crawl — are
     observed without restarting the process; only a genuinely-new fetch
     pays the network.  Pass ``shared_index=False`` for a private index
@@ -840,7 +840,7 @@ class CachingTransport:
         key = _cache_key(request)
         entry = self._lookup(key)
         if entry is None:
-            # Another writer — a sibling thread's transport, or another
+            # Another writer — another window's transport, or another
             # *process* sharing the cache directory — may have appended a
             # manifest since the last scan; re-reading a few file tails is
             # far cheaper than re-fetching, so check before declaring a miss.

@@ -13,15 +13,14 @@ coordinated through nothing but a shared directory:
   through the existing pure :func:`~repro.core.pipeline.execute_selection_subshard`,
   and commits serialized results.  Workers share one crawl-cache directory,
   so a re-issued window replays its fetches from disk for free.
-* :class:`~repro.dist.coordinator.Coordinator` — plans the deterministic
-  window split (:func:`~repro.core.pipeline.plan_selection_windows`),
-  spawns/monitors local workers, re-issues windows whose leases go stale
-  (a SIGKILLed worker's heartbeat stops), and merges results in strict
-  rank order through the same per-country
-  :class:`~repro.core.site_selection.RankOrderCommitter` + sectioned
-  :class:`~repro.core.dataset.StreamingDatasetWriter` path a single-host
-  build uses — so the final JSONL is byte-identical to the sequential
-  single-host build, for any worker count and any crash/retry history.
+* :class:`~repro.dist.coordinator.Coordinator` — a pipeline executor: it
+  publishes the deterministic window split
+  (:func:`~repro.core.pipeline.plan_selection_windows`), spawns/monitors
+  local workers, re-issues windows whose leases go stale (a SIGKILLed
+  worker's heartbeat stops), and yields window results in plan order to
+  the same merge loop a single-host build runs — so the final JSONL is
+  byte-identical to the sequential single-host build, for any worker
+  count and any crash/retry history.
 """
 
 from repro.dist.coordinator import Coordinator, DistBuildError, DistBuildResult, dist_build

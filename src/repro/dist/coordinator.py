@@ -1,24 +1,23 @@
 """The distributed build coordinator.
 
-The coordinator owns the merge — everything order-sensitive — while
-workers own the crawling.  It plans the deterministic window split,
-publishes it to the queue directory, optionally spawns local worker
-processes, and then consumes window results *in plan order*: country by
-country in configured order, windows by rank within each country, each
-committed through the country's :class:`~repro.core.pipeline.CountryMerge`
-with accepted record lines streamed verbatim into per-country sections of
-a :class:`~repro.core.dataset.StreamingDatasetWriter`.  That is the same
-merge step the single-host build runs, so the output JSONL is
-byte-identical to ``LangCrUXPipeline.run(stream_to=...)`` regardless of
-worker count, crashes or retries.
+The coordinator is a :class:`~repro.core.executor.PipelineExecutor` whose
+workers are independent processes reached through a queue directory.  A
+distributed build is an ordinary :meth:`LangCrUXPipeline.run
+<repro.core.pipeline.LangCrUXPipeline.run>` on this executor: the
+pipeline's merge loop consumes the window results the coordinator yields
+*in plan order* — country by country in configured order, windows by rank
+within each country — and streams the accepted record lines, which
+workers serialized exactly as the single-host writer would, verbatim into
+the output.  The output JSONL is therefore byte-identical to a single-host
+build regardless of worker count, crashes or retries.
 
-While waiting on a window the coordinator is also the failure detector:
-leases whose heartbeat stopped are reaped (re-opening the window —
-counted as ``dist.windows_reissued``), torn result files are deleted
-(``dist.results_torn``), and dead local workers are respawned up to a
-restart budget.  A country whose quota fills mid-merge gets a filled
-marker so workers stop claiming its remaining windows, and those windows
-are *not* waited on.
+While the merge waits on a window the coordinator is also the failure
+detector: leases whose heartbeat stopped are reaped (re-opening the
+window — counted as ``dist.windows_reissued``), torn result files are
+deleted (``dist.results_torn``), and dead local workers are respawned up
+to a restart budget.  Once the pipeline stops asking for a country's
+windows (its quota filled or its ranking ran out) the country gets a
+filled marker, so workers stop claiming its remaining windows.
 """
 
 from __future__ import annotations
@@ -29,17 +28,16 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator
 
 from repro import perf
-from repro.core.dataset import StreamingDatasetWriter
-from repro.core.executor import ShardMetrics
+from repro.core.executor import PipelineExecutor, ShardMetrics, ShardResult
 from repro.core.pipeline import (
-    CountryMerge,
+    LangCrUXPipeline,
     PipelineConfig,
-    RecordSink,
-    _RunTotals,
-    build_web_for_config,
+    SelectionSubShard,
     plan_selection_windows,
+    web_for_config,
 )
 from repro.core.site_selection import SelectionOutcome
 from repro.dist.results import DecodedWindowResult, decode_window_result
@@ -79,8 +77,12 @@ class DistBuildResult:
                 for country, outcome in self.selection_outcomes.items()}
 
 
-class Coordinator:
+class Coordinator(PipelineExecutor):
     """Plans, supervises and merges one distributed build.
+
+    :meth:`run` without arguments executes the build.  The pipeline calls
+    it back as an executor, with its window function and the lazily
+    filtered windows, and gets the window results from the queue.
 
     Args:
         config: The pipeline configuration (``sub_shard_size`` required —
@@ -92,20 +94,21 @@ class Coordinator:
             ``--role worker`` against the same (shared) queue dir.
         lease_timeout_s: Heartbeat age after which a lease is considered
             dead and its window re-issued.
-        poll_interval_s: Result-poll period of the merge loop.
+        poll_interval_s: Result-poll period while waiting on a window.
         max_worker_restarts: Total respawn budget for dead local workers.
         worker_command: Override of the spawned worker argv (tests use
             this to inject crashing workers).
-        stream_fsync: Fsync policy of the output writer.
     """
+
+    name = "dist"
+    trace_root = "dist.build"
 
     def __init__(self, config: PipelineConfig, queue_dir: str | Path,
                  output: str | Path, *, workers: int = 0,
                  lease_timeout_s: float = 10.0,
                  poll_interval_s: float = 0.02,
                  max_worker_restarts: int = 3,
-                 worker_command: list[str] | None = None,
-                 stream_fsync: str = "commit") -> None:
+                 worker_command: list[str] | None = None) -> None:
         if config.sub_shard_size is None:
             raise ValueError("distributed builds require sub_shard_size: "
                              "windows are the unit of distribution")
@@ -120,12 +123,13 @@ class Coordinator:
         self.poll_interval_s = poll_interval_s
         self.max_worker_restarts = max_worker_restarts
         self.worker_command = worker_command
-        self.stream_fsync = stream_fsync
         self._procs: list[subprocess.Popen] = []
         self._restarts = 0
         self._spawned = 0
         self._reissued = 0
         self._torn = 0
+        self._planned = 0
+        self._merged: set[str] = set()  # ids of the windows the merge awaited
 
     # -- worker supervision -----------------------------------------------------
 
@@ -167,7 +171,7 @@ class Coordinator:
                     proc.wait()
         self._procs = []
 
-    # -- the merge --------------------------------------------------------------
+    # -- the executor -----------------------------------------------------------
 
     def _await_result(self, window: QueuedWindow,
                       counters: perf.PerfCounters | None) -> DecodedWindowResult:
@@ -206,111 +210,99 @@ class Coordinator:
             time.sleep(self.poll_interval_s)
             waited += self.poll_interval_s
 
-    def run(self) -> DistBuildResult:
-        """Execute the build; returns once the output file is committed."""
+    def _results(self, shards: Iterable[SelectionSubShard]) -> Iterator[ShardResult]:
+        """Publish the plan, then yield the results of ``shards`` in order.
+
+        The queue gets the whole plan up front so workers can run ahead of
+        the merge; ``shards`` (the pipeline's filtered windows) decides
+        which results the merge waits for.  Results that workers finished
+        for windows it never asked for follow last, so their cost reaches
+        the run totals.
+        """
         config = self.config
-        # Tracing identity must be settled *before* the queue publishes
-        # build.json — that file is how workers inherit the trace id and
-        # parent span, which is what lets `langcrux trace` reassemble one
-        # tree spanning the coordinator and every worker process.
-        tracer = None
-        root_span = None
-        if config.trace_dir is not None:
-            tracer = obs_trace.ensure(config.trace_dir,
-                                      trace_id=config.trace_id)
-            config.trace_id = tracer.trace_id
-            root_span = tracer.start_span(
-                "dist.build",
-                {"countries": ",".join(config.countries),
-                 "quota": config.sites_per_country,
-                 "seed": config.seed, "workers": self.workers})
-            config.trace_parent = root_span.span_id
-            tracer.default_parent = root_span.span_id
-        web, crux = build_web_for_config(config)
-        specs = plan_selection_windows(config, crux)
-        windows = self.queue.initialize(config, specs)
-        by_country: dict[str, list[QueuedWindow]] = {
-            country: [] for country in config.countries}
-        for window in windows:
-            by_country[window.spec.country_code].append(window)
-        counters = perf.PerfCounters() if config.profile else None
-        totals = _RunTotals()
-        outcomes: dict[str, SelectionOutcome] = {}
-        metrics: dict[str, ShardMetrics] = {}
-        merged = 0
-        merged_ids: set[str] = set()
-        writer = StreamingDatasetWriter(self.output, fsync=self.stream_fsync)
-        sink = RecordSink(writer, None)
-        progress = {"windows_merged": 0, "records_streamed": 0,
-                    "countries_done": 0}
+        windows = self.queue.initialize(
+            config, plan_selection_windows(config, web_for_config(config)[1]))
+        self._planned = len(windows)
+        by_spec = {window.spec: window for window in windows}
         reporter = None
-        if tracer is not None:
+        if config.trace_dir is not None:
             reporter = StatusReporter(
                 str(self.queue.root), "coordinator",
                 lambda: {"trace": config.trace_id,
-                         "windows_planned": len(windows),
-                         "windows_reissued": self._reissued, **progress})
+                         "windows_planned": self._planned,
+                         "windows_merged": len(self._merged),
+                         "windows_reissued": self._reissued,
+                         "results_torn": self._torn})
             reporter.start()
+        index = -1
+        country = None
         try:
             for _ in range(self.workers):
                 self._spawn_worker()
-            for index, country in enumerate(config.countries):
-                merge = CountryMerge.for_country(config, country, index)
-                with obs_trace.span("merge", {"country": country}):
-                    for window in by_country[country]:
-                        if merge.committer.filled:
-                            break
-                        decoded = self._await_result(window, counters)
-                        merged += 1
-                        merged_ids.add(window.window_id)
-                        totals.merge(decoded.transport_metrics,
-                                     decoded.perf_metrics)
-                        progress["records_streamed"] += merge.commit_window(
-                            decoded.evaluations, decoded.record_lines,
-                            decoded.duration_s, sink.commit_serialized)
-                        progress["windows_merged"] = merged
-                # Either the quota filled or the ranking is exhausted;
-                # both mean workers should stop claiming this country.
+            for index, spec in enumerate(shards):
+                if spec.country_code != country:
+                    # The pipeline moved past the previous country: its
+                    # quota filled or its ranking ran out.
+                    if country is not None:
+                        self.queue.mark_filled(country)
+                    country = spec.country_code
+                window = by_spec[spec]
+                counters = perf.PerfCounters() if config.profile else None
+                decoded = self._await_result(window, counters)
+                if counters is not None:
+                    counters.count("dist.windows_merged")
+                    if decoded.perf_metrics is None:
+                        decoded.perf_metrics = counters
+                    else:
+                        decoded.perf_metrics.merge(counters)
+                self._merged.add(window.window_id)
+                yield ShardResult(index=index, shard=spec, value=decoded,
+                                  duration_s=decoded.duration_s)
+            if country is not None:
                 self.queue.mark_filled(country)
-                metrics[country] = merge.finalize(sink)
-                outcomes[country] = merge.committer.outcome
-                progress["countries_done"] = index + 1
             self.queue.mark_done()
-            if counters is not None:
-                counters.count("dist.windows_merged", merged)
-            # Fold in speculative results the merge never consumed (windows
-            # past a fill point that a worker evaluated before seeing the
-            # marker), mirroring the single-host late-window accounting.
+            # Speculative results the merge never asked for (windows past a
+            # fill point that a worker evaluated before seeing the marker).
             for window in windows:
-                if window.window_id in merged_ids:
+                if window.window_id in self._merged:
                     continue
                 payload = self.queue.read_result(window.window_id)
                 if payload is not None:
+                    index += 1
                     late = decode_window_result(payload)
-                    totals.merge(late.transport_metrics, late.perf_metrics)
-            with obs_trace.span("dataset.commit", {"path": str(self.output)}):
-                streamed = writer.close()
-        except BaseException:
-            writer.abort()
-            raise
+                    yield ShardResult(index=index, shard=late.spec, value=late,
+                                      duration_s=late.duration_s)
         finally:
             self.queue.mark_done()  # even on failure: workers must exit
             self._stop_workers()
             if reporter is not None:
                 reporter.stop()
-            if tracer is not None:
-                tracer.end_span(root_span)
-                obs_trace.disable()
-        totals.merge(None, counters)
-        totals.stamp_gauges(sink)
+
+    def run(self, fn: Callable[[Any], Any] | None = None,
+            shards: Iterable[SelectionSubShard] | None = None):
+        """Execute the build; returns once the output file is committed.
+
+        Called with ``shards`` — as the pipeline does — this is the
+        executor protocol instead: it yields their results from the queue,
+        in order.  ``fn`` is never called here; the workers evaluate each
+        window with the same pure
+        :func:`~repro.core.pipeline.execute_selection_subshard` in their own
+        processes.
+        """
+        if shards is not None:
+            return self._results(shards)
+        result = LangCrUXPipeline(self.config).run(
+            executor=self, stream_to=self.output, keep_in_memory=False)
         return DistBuildResult(
-            output=self.output, streamed_records=streamed,
-            selection_outcomes=outcomes, shard_metrics=metrics,
-            windows_planned=len(windows), windows_merged=merged,
+            output=self.output, streamed_records=result.streamed_records,
+            selection_outcomes=result.selection_outcomes,
+            shard_metrics=result.shard_metrics,
+            windows_planned=self._planned, windows_merged=len(self._merged),
             windows_reissued=self._reissued, results_torn=self._torn,
             workers_spawned=self._spawned, worker_restarts=self._restarts,
-            transport_metrics=totals.transport, perf_metrics=totals.perf,
-            time_to_first_record_s=sink.first_record_s)
+            transport_metrics=result.transport_metrics,
+            perf_metrics=result.perf_metrics,
+            time_to_first_record_s=result.time_to_first_record_s)
 
 
 def dist_build(config: PipelineConfig, queue_dir: str | Path,

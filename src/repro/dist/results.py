@@ -71,17 +71,15 @@ def encode_window_result(result: SelectionSubShardResult, *, worker: str,
 
 
 @dataclass
-class DecodedWindowResult:
-    """A result file rebuilt into merge-ready objects."""
+class DecodedWindowResult(SelectionSubShardResult):
+    """A result file rebuilt for the merge.
 
-    spec: SelectionSubShard
-    worker: str
-    duration_s: float
-    evaluations: list[CandidateEvaluation]
-    record_lines: list[str | None]
-    transport_metrics: TransportMetrics | None
-    perf_metrics: perf.PerfCounters | None
-    trace_span: dict | None = None
+    ``records`` holds each would-qualify candidate's serialized record
+    line (``None`` for the others), which the merge writes verbatim.
+    """
+
+    worker: str = ""
+    duration_s: float = 0.0
 
 
 def decode_window_result(payload: dict) -> DecodedWindowResult:
@@ -115,7 +113,7 @@ def decode_window_result(payload: dict) -> DecodedWindowResult:
         worker=payload.get("worker", ""),
         duration_s=payload.get("duration_s", 0.0),
         evaluations=evaluations,
-        record_lines=record_lines,
+        records=record_lines,
         transport_metrics=transport_metrics,
         perf_metrics=(perf.PerfCounters.from_dict(counters)
                       if counters is not None else None),

@@ -2,8 +2,9 @@
 
 A worker is a plain process pointed at a queue directory (``langcrux
 dist-build --role worker --queue-dir DIR``).  It loads the build config,
-rebuilds the synthetic web deterministically in-process (exactly like a
-process-pool worker — the web is never shipped), then loops: find the
+then loops (rebuilding the synthetic web deterministically in-process on
+the first window, exactly like a process-pool worker — the web is never
+shipped): find the
 first unclaimed, unfinished window of an unfilled country, claim it,
 evaluate it through the pure
 :func:`~repro.core.pipeline.execute_selection_subshard`, and commit the
@@ -30,11 +31,7 @@ import time
 from dataclasses import dataclass, replace
 
 from repro import perf
-from repro.core.pipeline import (
-    PipelineConfig,
-    build_web_for_config,
-    execute_selection_subshard,
-)
+from repro.core.pipeline import PipelineConfig, execute_selection_subshard
 from repro.crawler.metrics import TransportMetrics
 from repro.dist.results import encode_window_result
 from repro.dist.workqueue import Lease, QueuedWindow, WorkQueue
@@ -107,7 +104,6 @@ class CrawlWorker:
         # workers) rely on replaying its fetches.
         config = replace(config, cache_fsync="entry")
         windows = self.queue.load_windows()
-        web_and_crux = build_web_for_config(config)
         # The coordinator stamped the build's trace identity into
         # build.json; joining it here is what makes `langcrux trace`
         # see one tree spanning every process.
@@ -149,7 +145,7 @@ class CrawlWorker:
                     time.sleep(self.poll_interval_s)
                     continue
                 window, lease = claimed
-                self._execute(config, window, lease, web_and_crux, totals)
+                self._execute(config, window, lease, totals)
                 stats.windows_executed += 1
         finally:
             reporter.stop(final=_snapshot())
@@ -183,16 +179,14 @@ class CrawlWorker:
         return None
 
     def _execute(self, config: PipelineConfig, window: QueuedWindow,
-                 lease: Lease, web_and_crux,
-                 totals: TransportMetrics | None = None) -> None:
+                 lease: Lease, totals: TransportMetrics) -> None:
         heartbeat = _HeartbeatThread(lease, self.heartbeat_interval_s)
         heartbeat.start()
         try:
             started = time.perf_counter()
-            result = execute_selection_subshard(config, window.spec,
-                                                web_and_crux=web_and_crux)
+            result = execute_selection_subshard(config, window.spec)
             duration_s = time.perf_counter() - started
-            if totals is not None and result.transport_metrics is not None:
+            if result.transport_metrics is not None:
                 totals.merge(result.transport_metrics)
             LOG.debug("window executed", window=window.window_id,
                       country=window.spec.country_code,

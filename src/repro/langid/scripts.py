@@ -225,7 +225,7 @@ def _classify(char: str) -> Script:
 # distinct characters, so after warm-up every classification is one dict get
 # (the bisect + unicodedata fallback runs once per distinct character for the
 # lifetime of the process).  Plain dict get/set is GIL-atomic and the cached
-# value is deterministic, so concurrent shard threads can share the cache; a
+# value is deterministic, so concurrent threads can share the cache; a
 # racing fill at worst recomputes the same value.  Bounded to keep adversarial
 # input (e.g. fuzzing across the whole codepoint space) from growing it
 # without limit.

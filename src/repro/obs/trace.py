@@ -11,7 +11,7 @@ process under the trace directory — and reassembled into one tree by
 Cross-process propagation works by value, not by ambient magic: the
 process that starts a build allocates the trace id, stamps it (plus the
 root span id as ``trace_parent``) into the :class:`PipelineConfig`, and
-every worker — thread, process-pool or ``repro.dist`` — calls
+every worker — process-pool or ``repro.dist`` — calls
 :func:`ensure` with those values before doing traced work.  ``ensure``
 is idempotent per process, so re-entry from every window of a pool
 worker costs a lock and two comparisons.

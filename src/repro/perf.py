@@ -25,10 +25,10 @@ time-to-first-record.  :func:`memory_gauges` samples the process's memory
 peaks (``resource.getrusage`` RSS for self and children, plus the
 ``tracemalloc`` peak when tracing is active) in that shape.
 
-Collection is thread-local on purpose: shard workers on the thread/process
-executors each run their post-fetch stages on their own thread, so per-shard
-collectors never observe each other's work and per-shard totals stay
-deterministic.
+Collection is thread-local on purpose: a collector sees only the work of
+the thread that installed it, so per-window collectors never observe each
+other's work (or that of any other thread in the process) and per-window
+totals stay deterministic.
 
 Stages nest (e.g. ``record`` encloses ``extract`` which encloses ``index``),
 so stage times are inclusive and do not sum to wall-clock time; the summary

@@ -9,8 +9,7 @@ same assertions over the parallel execution paths (the pipeline's output is
 byte-identical for every combination, so every downstream check must hold
 unchanged):
 
-* ``LANGCRUX_TEST_EXECUTOR`` — executor backend (``serial``/``thread``/
-  ``process``);
+* ``LANGCRUX_TEST_EXECUTOR`` — executor backend (``serial``/``process``);
 * ``LANGCRUX_TEST_WORKERS`` — worker count;
 * ``LANGCRUX_TEST_SUB_SHARD_SIZE`` — intra-country sub-shard size.
 """

@@ -10,26 +10,25 @@ edge cases, and the shard-isolation fix (per-shard audit engines, stateless
 
 from __future__ import annotations
 
-import threading
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
 from repro.audit.engine import AuditEngine
 from repro.core import pipeline as pipeline_module
 from repro.core.executor import (
-    DEFAULT_QUEUE_SIZE,
     EXECUTOR_KINDS,
     ExecutorError,
     ProcessExecutor,
     SerialExecutor,
     ShardMetrics,
     ShardResult,
-    ThreadedExecutor,
     create_executor,
 )
 from repro.core.pipeline import LangCrUXPipeline, PipelineConfig
+from shuffled_executor import ShuffledExecutor
 
 
 PARITY_CONFIG = dict(countries=("bd", "th", "jp", "il"), sites_per_country=5,
@@ -53,8 +52,8 @@ class TestParallelParity:
             _dataset_bytes(parallel, tmp_path, "proc.jsonl")
 
     def test_parallel_run_populates_shard_metrics(self) -> None:
-        result = LangCrUXPipeline(PipelineConfig(**PARITY_CONFIG, workers=4,
-                                                 executor="thread")).run()
+        result = LangCrUXPipeline(PipelineConfig(**PARITY_CONFIG, workers=2,
+                                                 executor="process")).run()
         assert set(result.shard_metrics) == set(PARITY_CONFIG["countries"])
         for country, metric in result.shard_metrics.items():
             assert isinstance(metric, ShardMetrics)
@@ -69,11 +68,11 @@ class TestParallelParity:
 class TestWorkerCountEdges:
     def test_zero_workers_rejected(self) -> None:
         with pytest.raises(ValueError):
-            create_executor("thread", 0)
+            create_executor("process", 0)
         with pytest.raises(ValueError):
             create_executor("auto", 0)
         with pytest.raises(ValueError):
-            ThreadedExecutor(0)
+            ProcessExecutor(0)
         with pytest.raises(ValueError):
             ProcessExecutor(-1)
 
@@ -81,13 +80,13 @@ class TestWorkerCountEdges:
         config = dict(countries=("bd", "th"), sites_per_country=3, seed=9,
                       transport_failure_rate=0.02)
         sequential = LangCrUXPipeline(PipelineConfig(**config)).run()
-        oversubscribed = LangCrUXPipeline(PipelineConfig(**config, workers=16,
-                                                         executor="thread")).run()
+        oversubscribed = LangCrUXPipeline(PipelineConfig(**config, workers=3,
+                                                         executor="process")).run()
         assert _dataset_bytes(sequential, tmp_path, "a.jsonl") == \
             _dataset_bytes(oversubscribed, tmp_path, "b.jsonl")
 
     def test_empty_shard_list_yields_nothing(self) -> None:
-        for executor in (SerialExecutor(), ThreadedExecutor(4)):
+        for executor in (SerialExecutor(), ProcessExecutor(4)):
             assert list(executor.run(lambda shard: shard, [])) == []
 
 
@@ -100,6 +99,16 @@ def _slow_echo(shard: int) -> int:
     """Module-level so the process backend can pickle it into a worker."""
     time.sleep(0.02)
     return shard
+
+
+def _echo_when_released(shard: tuple[int, str]) -> int:
+    """Return the shard's number; shard 1 first waits for a release file."""
+    number, release = shard
+    if number == 1:
+        deadline = time.monotonic() + 30.0
+        while not Path(release).exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+    return number
 
 
 class TestProcessLazySubmission:
@@ -148,17 +157,8 @@ class TestFailurePropagation:
         assert f"shard {excinfo.value.shard!r} failed" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, ValueError)
 
-    def test_threaded_base_exception_does_not_hang(self) -> None:
-        def bail(shard: int) -> int:
-            raise SystemExit(3)
-
-        started = time.perf_counter()
-        with pytest.raises(SystemExit):
-            list(ThreadedExecutor(2).run(bail, [0, 1]))
-        assert time.perf_counter() - started < 10.0
-
-    @pytest.mark.parametrize("executor", [SerialExecutor(), ThreadedExecutor(3)],
-                             ids=["serial", "thread"])
+    @pytest.mark.parametrize("executor", [SerialExecutor(), ShuffledExecutor()],
+                             ids=["serial", "shuffled"])
     def test_shard_exception_becomes_executor_error(self, executor) -> None:
         def explode(shard: int) -> int:
             if shard == 2:
@@ -177,82 +177,56 @@ class TestFailurePropagation:
         assert isinstance(excinfo.value.__cause__, KeyError)
         assert excinfo.value.shard == "zz"
 
-    def test_threaded_failure_does_not_hang_with_full_queue(self) -> None:
-        # Slow successes saturate the bounded queue while one shard fails;
-        # the run must still abort promptly instead of deadlocking workers
-        # blocked on queue.put().
-        def job(shard: int) -> int:
-            if shard == 0:
-                raise ValueError("first shard fails")
-            time.sleep(0.01)
-            return shard
-
-        executor = ThreadedExecutor(4, queue_size=1)
-        started = time.perf_counter()
-        with pytest.raises(ExecutorError):
-            list(executor.run(job, list(range(12))))
-        assert time.perf_counter() - started < 10.0
-
     def test_pipeline_run_propagates_shard_failure(self, monkeypatch) -> None:
         def broken_window(config, spec, **kwargs):
             raise RuntimeError(f"cannot crawl {spec.country_code}")
 
         monkeypatch.setattr(pipeline_module, "execute_selection_subshard", broken_window)
         pipeline = LangCrUXPipeline(PipelineConfig(countries=("bd", "th"),
-                                                   sites_per_country=2, workers=2,
-                                                   executor="thread"))
+                                                   sites_per_country=2))
         with pytest.raises(ExecutorError, match="cannot crawl"):
-            pipeline.run()
+            pipeline.run(executor=ShuffledExecutor())
 
 
 class TestStreamingAndOrdering:
     def test_run_ordered_restores_submission_order(self) -> None:
-        # Reverse-sorted sleep times force out-of-order completion.
-        delays = [0.05, 0.03, 0.01]
+        executor = ShuffledExecutor(seed=3)
+        completion = [r.index for r in executor.run(lambda shard: shard, range(6))]
+        assert completion != sorted(completion)  # the seed does reorder
+        results = list(executor.run_ordered(lambda shard: shard * 10, range(6)))
+        assert [r.index for r in results] == list(range(6))
+        assert [r.value for r in results] == [0, 10, 20, 30, 40, 50]
 
-        def job(shard: int) -> int:
-            time.sleep(delays[shard])
-            return shard * 10
-
-        results = list(ThreadedExecutor(3).run_ordered(job, [0, 1, 2]))
-        assert [r.index for r in results] == [0, 1, 2]
-        assert [r.value for r in results] == [0, 10, 20]
-
-    def test_results_stream_before_all_shards_finish(self) -> None:
-        release = threading.Event()
-
-        def job(shard: int) -> int:
-            if shard == 1:
-                release.wait(timeout=5.0)
-            return shard
-
-        executor = ThreadedExecutor(2)
-        stream = executor.run(job, [0, 1])
-        first = next(stream)  # must arrive while shard 1 is still blocked
-        assert first.value == 0
-        release.set()
-        assert next(stream).value == 1
+    def test_results_stream_before_all_shards_finish(self, tmp_path) -> None:
+        release = tmp_path / "release"
+        stream = ProcessExecutor(2).run(_echo_when_released,
+                                        [(0, str(release)), (1, str(release))])
+        try:
+            first = next(stream)  # must arrive while shard 1 is still blocked
+            assert first.value == 0
+            release.touch()
+            assert next(stream).value == 1
+        finally:
+            release.touch()
+            stream.close()
 
     def test_bounded_queue_backpressures_workers(self) -> None:
-        # With queue_size=1 and a consumer that never reads ahead, at most
-        # queue_size + workers shards may have started at any point.
-        started: list[int] = []
-        lock = threading.Lock()
+        # The process backend pulls from its source only to keep
+        # ``workers + 1`` shards outstanding, refilling after the consumer
+        # takes a result: a consumer that never reads ahead holds it back.
+        pulled = {"count": 0}
 
-        def job(shard: int) -> int:
-            with lock:
-                started.append(shard)
-            return shard
+        def source():
+            for index in range(10):
+                pulled["count"] += 1
+                yield index
 
-        executor = ThreadedExecutor(2, queue_size=1)
-        stream = executor.run(job, list(range(10)))
-        next(stream)
-        time.sleep(0.05)  # give eager workers a chance to overrun (they must not)
-        with lock:
-            in_flight = len(started)
-        # 1 consumed + 1 queued + 2 blocked in put() is the ceiling.
-        assert in_flight <= 1 + executor.queue_size + executor.workers
-        list(stream)  # drain cleanly
+        executor = ProcessExecutor(2)
+        stream = executor.run(_slow_echo, source())
+        first = next(stream)
+        assert pulled["count"] == executor.workers + 1
+        rest = [result.value for result in stream]
+        assert sorted([first.value, *rest]) == list(range(10))
 
     def test_serial_executor_reports_durations(self) -> None:
         results = list(SerialExecutor().run(lambda shard: shard, ["a", "b"]))
@@ -282,18 +256,6 @@ class TestStreamingAndOrdering:
         assert alive_at_start == [False, False, False, False]
         assert all(ref() is None for ref in dropped)
 
-    def test_abandoned_threaded_stream_drains_without_hanging(self) -> None:
-        # Closing the generator after one result must cancel what it can,
-        # drain exactly the envelopes still owed (workers blocked on the
-        # full queue included) and join the pool — promptly, with the
-        # blocking-wait drain rather than a poll loop.
-        executor = ThreadedExecutor(3, queue_size=1)
-        started = time.perf_counter()
-        stream = executor.run(lambda shard: shard, list(range(16)))
-        next(stream)
-        stream.close()
-        assert time.perf_counter() - started < 10.0
-
     def test_abandoned_process_stream_drains_without_hanging(self) -> None:
         executor = ProcessExecutor(2)
         started = time.perf_counter()
@@ -307,14 +269,14 @@ class TestCreateExecutor:
     def test_auto_is_serial_for_one_worker(self) -> None:
         assert isinstance(create_executor("auto", 1), SerialExecutor)
 
-    def test_auto_is_threaded_for_many_workers(self) -> None:
-        executor = create_executor("auto", 4)
-        assert isinstance(executor, ThreadedExecutor)
-        assert executor.workers == 4
+    def test_auto_is_process_for_many_workers(self) -> None:
+        executor = create_executor("auto", 2)
+        assert isinstance(executor, ProcessExecutor)
+        assert executor.workers == 2
 
     def test_explicit_kinds(self) -> None:
         assert isinstance(create_executor("serial", 1), SerialExecutor)
-        assert isinstance(create_executor("thread", 2), ThreadedExecutor)
+        assert isinstance(create_executor("serial", 4), SerialExecutor)
         assert isinstance(create_executor("process", 2), ProcessExecutor)
 
     def test_unknown_kind_rejected(self) -> None:
@@ -322,14 +284,9 @@ class TestCreateExecutor:
             create_executor("fibers", 2)
 
     def test_kinds_constant_covers_factory(self) -> None:
-        assert set(EXECUTOR_KINDS) == {"auto", "serial", "thread", "process"}
+        assert EXECUTOR_KINDS == ("auto", "serial", "process")
         for kind in EXECUTOR_KINDS:
             assert create_executor(kind, 2).workers >= 1
-
-    def test_queue_size_validation(self) -> None:
-        with pytest.raises(ValueError):
-            ThreadedExecutor(2, queue_size=0)
-        assert ThreadedExecutor(2).queue_size == DEFAULT_QUEUE_SIZE
 
 
 class TestShardIsolation:

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.core.dataset import LangCrUXDataset
+from repro.core import pipeline as pipeline_module
 from repro.core.pipeline import (
     LangCrUXPipeline,
     PipelineConfig,
@@ -22,6 +23,7 @@ from repro.core.pipeline import (
     record_from_crawl,
     selector_for_country,
     slim_selection_outcome,
+    web_for_config,
 )
 from repro.core.elements import ELEMENT_IDS
 from repro.core.extraction import extract_page, merge_extractions
@@ -287,6 +289,50 @@ class TestProcessSpeculationBound:
         assert len(hosts) <= 18, (
             f"{len(hosts)} origins crawled of {total_candidates}: speculation "
             f"is not bounded by the submission window")
+
+
+class TestWebMemo:
+    def test_a_process_holds_one_memoized_web(self) -> None:
+        first = PipelineConfig(countries=("bd",), sites_per_country=2, seed=61)
+        second = PipelineConfig(countries=("bd",), sites_per_country=2, seed=62)
+        web, crux = web_for_config(first)
+        assert web_for_config(first)[0] is web
+        # The pipeline and its in-process windows share the memoized web.
+        assert LangCrUXPipeline(first).build_web()[0] is web
+        other, _ = web_for_config(second)
+        assert other is not web
+        assert pipeline_module._WEB_MEMO[1][0] is other  # one slot, replaced
+        # A caller-supplied web is used as given and leaves the memo alone.
+        assert LangCrUXPipeline(first, web=web, crux_table=crux).build_web() == (web, crux)
+        assert pipeline_module._WEB_MEMO[1][0] is other
+
+    def test_a_finished_build_leaves_the_memo_empty(self) -> None:
+        config = PipelineConfig(countries=("bd",), sites_per_country=2, seed=63)
+        result = LangCrUXPipeline(config).run()
+        # The web lives on the result only: dropping it frees the web.
+        assert pipeline_module._WEB_MEMO is None
+        assert result.web is not None
+
+
+class TestSerialDispatch:
+    def test_windows_of_a_filled_country_are_never_dispatched(self, monkeypatch) -> None:
+        real = pipeline_module.execute_selection_subshard
+        calls: list[SelectionSubShard] = []
+
+        def counting(config, spec, **kwargs):
+            calls.append(spec)
+            return real(config, spec, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "execute_selection_subshard", counting)
+        config = PipelineConfig(countries=("gr", "bd"), sites_per_country=2, seed=43,
+                                candidate_multiplier=8.0, sub_shard_size=1,
+                                executor="serial")
+        result = LangCrUXPipeline(config).run()
+        assert all(outcome.filled for outcome in result.selection_outcomes.values())
+        # Every window that ran was merged: none ran past its country's fill.
+        assert len(calls) == sum(metric.sub_shards
+                                 for metric in result.shard_metrics.values())
+        assert len(calls) < 2 * 16
 
 
 class TestVantageAblation:

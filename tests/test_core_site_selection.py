@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.core.executor import SerialExecutor, ThreadedExecutor, plan_chunks
+from repro.core.executor import SerialExecutor, plan_chunks
 from repro.core.site_selection import (
     CandidateEvaluation,
     RankOrderCommitter,
@@ -22,6 +22,7 @@ from repro.webgen.crux import CruxEntry, build_crux_table
 from repro.webgen.profiles import get_profile
 from repro.webgen.server import SyntheticWeb
 from repro.webgen.sitegen import SiteGenerator, stable_seed
+from shuffled_executor import ShuffledExecutor
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +161,7 @@ def _entries(verdicts: list[str]) -> tuple[list[CruxEntry], ScriptedSelector]:
 
 
 def _executors():
-    return [SerialExecutor(), ThreadedExecutor(3)]
+    return [SerialExecutor(), ShuffledExecutor(seed=5)]
 
 
 def _windowed_select(selector: SiteSelector, entries, quota: int, *,

@@ -1,10 +1,8 @@
-"""Tests for crawl records and their JSONL round trip (repro.crawler.records)."""
+"""Tests for crawl records and their dict round trip (repro.crawler.records)."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.crawler.records import CrawlRecord, PageSnapshot, read_records_jsonl, write_records_jsonl
+from repro.crawler.records import CrawlRecord, PageSnapshot
 
 
 def _record(domain: str = "a.example.bd", ok: bool = True) -> CrawlRecord:
@@ -39,27 +37,3 @@ class TestRecordModel:
     def test_dict_round_trip(self) -> None:
         record = _record()
         assert CrawlRecord.from_dict(record.to_dict()) == record
-
-
-class TestJsonlIO:
-    def test_write_and_read_back(self, tmp_path: Path) -> None:
-        records = [_record("a.example.bd"), _record("b.example.bd", ok=False)]
-        path = tmp_path / "out" / "crawl.jsonl"
-        written = write_records_jsonl(records, path)
-        assert written == 2
-        loaded = list(read_records_jsonl(path))
-        assert loaded == records
-
-    def test_unicode_preserved(self, tmp_path: Path) -> None:
-        path = tmp_path / "crawl.jsonl"
-        write_records_jsonl([_record()], path)
-        raw = path.read_text(encoding="utf-8")
-        assert "খবর" in raw  # ensure_ascii=False keeps the native script readable
-        loaded = next(iter(read_records_jsonl(path)))
-        assert "খবর" in loaded.pages[0].html
-
-    def test_blank_lines_ignored(self, tmp_path: Path) -> None:
-        path = tmp_path / "crawl.jsonl"
-        write_records_jsonl([_record()], path)
-        path.write_text(path.read_text(encoding="utf-8") + "\n\n", encoding="utf-8")
-        assert len(list(read_records_jsonl(path))) == 1

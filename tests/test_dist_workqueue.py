@@ -212,7 +212,7 @@ def test_window_result_round_trips_through_json(tmp_path):
         assert rebuilt.fetch_succeeded == original.fetch_succeeded
         # Page HTML is stripped for the trip; everything else survives.
         assert all(page.html == "" for page in rebuilt.record.pages)
-    for record, line in zip(result.records, decoded.record_lines):
+    for record, line in zip(result.records, decoded.records):
         if record is None:
             assert line is None
         else:

@@ -252,7 +252,7 @@ class TestPipelineProfile:
         assert serial.counters == processed.counters
 
     def test_subsharded_run_collects_perf(self) -> None:
-        result = _run(PipelineConfig(profile=True, workers=2, executor="thread",
+        result = _run(PipelineConfig(profile=True, workers=2, executor="process",
                                      sub_shard_size=2, **self.CONFIG))
         metrics = result.perf_metrics
         assert metrics is not None

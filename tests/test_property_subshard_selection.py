@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.executor import create_executor
 from repro.core.pipeline import LangCrUXPipeline, PipelineConfig
+from shuffled_executor import ShuffledExecutor
 
 #: Shared base configuration: two countries so cross-country merge order is
 #: exercised, a multiplier that leaves room for replacements, and a nonzero
@@ -47,6 +48,11 @@ def _jsonl_bytes(result, tmp_dir: Path) -> bytes:
     return path.read_bytes()
 
 
+def _executor(shuffle: int | None, workers: int):
+    """The configured serial backend, or an out-of-order one seeded ``shuffle``."""
+    return None if shuffle is None else ShuffledExecutor(seed=shuffle, workers=workers)
+
+
 def _baseline(quota: int, tmp_dir: Path) -> tuple[dict, bytes]:
     """The sequential reference run for ``quota`` (cached per module)."""
     if quota not in _baselines:
@@ -68,21 +74,20 @@ class TestSubShardedSelectionProperties:
         workers=st.sampled_from([1, 4]),
         sub_shard_size=st.sampled_from([1, 2, 3, "quota", UNBOUNDED]),
         max_in_flight=st.sampled_from([1, 2, 4]),
-        executor=st.sampled_from(["serial", "thread"]),
+        shuffle=st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)),
     )
     @settings(max_examples=10, deadline=None)
     def test_byte_identical_to_sequential_walk(self, quota, workers, sub_shard_size,
-                                               max_in_flight, executor, tmp_dir) -> None:
+                                               max_in_flight, shuffle, tmp_dir) -> None:
         if sub_shard_size == "quota":
             sub_shard_size = quota
         expected_outcomes, expected_bytes = _baseline(quota, tmp_dir)
         config = PipelineConfig(sites_per_country=quota,
-                                workers=workers,
-                                executor=executor,
+                                executor="serial",
                                 max_in_flight=max_in_flight,
                                 sub_shard_size=sub_shard_size,
                                 **BASE_CONFIG)
-        result = LangCrUXPipeline(config).run()
+        result = LangCrUXPipeline(config).run(executor=_executor(shuffle, workers))
         # Field-for-field SelectionOutcome equality: selected sites (entry,
         # crawl record, native share), every rejection counter, and
         # candidates_examined — the sub-sharded walk must not even *examine*
@@ -94,23 +99,24 @@ class TestSubShardedSelectionProperties:
         quota=st.integers(min_value=1, max_value=4),
         sub_shard_size=st.integers(min_value=1, max_value=6),
         max_in_flight=st.sampled_from([1, 2, 4]),
-        executor=st.sampled_from(["serial", "thread"]),
+        shuffle=st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)),
         workers=st.sampled_from([1, 4]),
     )
     @settings(max_examples=8, deadline=None)
     def test_streamed_output_matches_in_memory(self, quota, sub_shard_size,
-                                               max_in_flight, executor, workers,
+                                               max_in_flight, shuffle, workers,
                                                tmp_dir) -> None:
         # Windowed streaming commits records per sub-shard window; the
         # streamed bytes must still equal the sequential in-memory build for
         # every executor/worker/window/in-flight combination.
         _, expected_bytes = _baseline(quota, tmp_dir)
-        config = PipelineConfig(sites_per_country=quota, workers=workers,
-                                executor=executor, sub_shard_size=sub_shard_size,
+        config = PipelineConfig(sites_per_country=quota, executor="serial",
+                                sub_shard_size=sub_shard_size,
                                 max_in_flight=max_in_flight,
                                 **BASE_CONFIG)
         stream_path = tmp_dir / "streamed.jsonl"
-        LangCrUXPipeline(config).run(stream_to=stream_path, keep_in_memory=False)
+        LangCrUXPipeline(config).run(executor=_executor(shuffle, workers),
+                                     stream_to=stream_path, keep_in_memory=False)
         assert stream_path.read_bytes() == expected_bytes
 
 
@@ -149,15 +155,14 @@ class TestSubShardedProcessBackend:
         config = PipelineConfig(sites_per_country=quota, sub_shard_size=1,
                                 **BASE_CONFIG)
         result = LangCrUXPipeline(config).run(
-            executor=create_executor("thread", 4))
+            executor=create_executor("process", 2))
         assert _jsonl_bytes(result, tmp_dir) == expected_bytes
 
 
 class TestSubShardMetrics:
     def test_metrics_aggregate_sub_shards_per_country(self, tmp_dir) -> None:
-        config = PipelineConfig(sites_per_country=3, workers=2, executor="thread",
-                                sub_shard_size=2, **BASE_CONFIG)
-        result = LangCrUXPipeline(config).run()
+        config = PipelineConfig(sites_per_country=3, sub_shard_size=2, **BASE_CONFIG)
+        result = LangCrUXPipeline(config).run(executor=ShuffledExecutor(seed=1))
         assert set(result.shard_metrics) == set(BASE_CONFIG["countries"])
         for country, metric in result.shard_metrics.items():
             assert metric.shard == country

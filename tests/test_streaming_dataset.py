@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dataset import LangCrUXDataset, SiteRecord, StreamingDatasetWriter
-from repro.core.pipeline import LangCrUXPipeline, PipelineConfig
+from repro.core.pipeline import LangCrUXPipeline, PipelineConfig, RecordSink
+from shuffled_executor import ShuffledExecutor
 
 
 def _record(index: int) -> SiteRecord:
@@ -223,6 +224,28 @@ def sequential_bytes(tmp_path_factory) -> bytes:
     return path.read_bytes()
 
 
+class TestRecordSink:
+    def test_records_and_serialized_lines_stream_identically(self, tmp_path) -> None:
+        records = [_record(0), _record(1)]
+        reference = tmp_path / "records.jsonl"
+        LangCrUXDataset(records).save_jsonl(reference)
+        lines = reference.read_text(encoding="utf-8").splitlines()
+        mixed = tmp_path / "mixed.jsonl"
+        writer = StreamingDatasetWriter(mixed)
+        sink = RecordSink(writer, None)
+        sink.commit("bd", [records[0]])
+        sink.commit("bd", [lines[1]])  # a distributed worker's line, verbatim
+        sink.finish_country("bd")
+        assert writer.close() == 2 == sink.committed
+        assert mixed.read_bytes() == reference.read_bytes()
+
+    def test_serialized_lines_cannot_be_kept_in_memory(self) -> None:
+        dataset = LangCrUXDataset()
+        with pytest.raises(ValueError, match="streamed"):
+            RecordSink(None, dataset).commit("bd", ['{"domain": "a.example"}'])
+        assert len(dataset) == 0
+
+
 class TestStreamingPipelineParity:
     @pytest.mark.parametrize("overrides", [
         dict(max_in_flight=4),
@@ -244,7 +267,7 @@ class TestStreamingPipelineParity:
     def test_stream_without_memory_retention(self, sequential_bytes, tmp_path) -> None:
         stream_path = tmp_path / "streamed.jsonl"
         result = LangCrUXPipeline(PipelineConfig(**PARITY_CONFIG, workers=2,
-                                                 executor="thread", max_in_flight=3)).run(
+                                                 executor="process", max_in_flight=3)).run(
             stream_to=stream_path, keep_in_memory=False)
         assert stream_path.read_bytes() == sequential_bytes
         assert len(result.dataset) == 0
@@ -313,20 +336,20 @@ class TestStreamingPipelineParity:
         assert result.transport_metrics.cache_hits > 0  # the replay was cached
 
     @given(
-        workers=st.integers(min_value=1, max_value=4),
         max_in_flight=st.integers(min_value=1, max_value=6),
-        executor=st.sampled_from(["serial", "thread"]),
+        shuffle=st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)),
         stream=st.booleans(),
     )
     @settings(max_examples=6, deadline=None)
-    def test_parity_property_across_schedules(self, workers, max_in_flight, executor,
+    def test_parity_property_across_schedules(self, max_in_flight, shuffle,
                                               stream, sequential_bytes,
                                               tmp_path_factory) -> None:
         tmp_path = tmp_path_factory.mktemp("sweep")
-        config = PipelineConfig(**PARITY_CONFIG, workers=workers,
-                                executor=executor, max_in_flight=max_in_flight)
+        config = PipelineConfig(**PARITY_CONFIG, max_in_flight=max_in_flight)
         stream_path = tmp_path / "streamed.jsonl"
-        result = LangCrUXPipeline(config).run(stream_to=stream_path if stream else None)
+        executor = ShuffledExecutor(shuffle) if shuffle is not None else None
+        result = LangCrUXPipeline(config).run(executor=executor,
+                                              stream_to=stream_path if stream else None)
         saved = tmp_path / "saved.jsonl"
         result.dataset.save_jsonl(saved)
         assert saved.read_bytes() == sequential_bytes

@@ -19,8 +19,6 @@ writer sections.  Covered here:
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.core.pipeline import (
@@ -28,6 +26,7 @@ from repro.core.pipeline import (
     PipelineConfig,
     build_web_for_config,
 )
+from shuffled_executor import ShuffledExecutor
 
 EXECUTORS = [
     dict(executor="serial", workers=1),
@@ -138,12 +137,13 @@ class TestLateWindowMetricsAttribution:
         """Drain-and-fold regression: no executed window's cost vanishes.
 
         With the *last* configured country filling its quota early (high
-        candidate multiplier, one candidate per window, several workers),
-        speculative windows are reliably still in flight when the run
-        finalizes; their transport/perf cost used to be dropped because
-        late metrics were only folded into a subsequent finalize.  The
-        assertion is schedule-independent: the run-level totals must equal
-        the merge of what every window that actually executed reported.
+        candidate multiplier, one candidate per window) on an executor that
+        evaluates every window before the merge sees any, speculative
+        windows are still undelivered when the run finalizes; their
+        transport/perf cost used to be dropped because late metrics were
+        only folded into a subsequent finalize.  The assertion is
+        schedule-independent: the run-level totals must equal the merge of
+        what every window that actually executed reported.
         """
         from repro.core import pipeline as pipeline_module
         from repro.crawler.metrics import TransportMetrics
@@ -152,24 +152,21 @@ class TestLateWindowMetricsAttribution:
         config = PipelineConfig(countries=("gr", "bd"), sites_per_country=2,
                                 seed=43, candidate_multiplier=8.0,
                                 transport_failure_rate=0.05,
-                                executor="thread", workers=4, sub_shard_size=1,
-                                profile=True,
+                                sub_shard_size=1, profile=True,
                                 # A crawl cache forces a transport stack, so
                                 # every window reports transport metrics.
                                 crawl_cache=str(tmp_path / "cache"))
         real_subshard = pipeline_module.execute_selection_subshard
-        lock = threading.Lock()
         observed: list[tuple] = []
 
         def recording_subshard(config, spec, **kwargs):
             result = real_subshard(config, spec, **kwargs)
-            with lock:
-                observed.append((result.transport_metrics, result.perf_metrics))
+            observed.append((result.transport_metrics, result.perf_metrics))
             return result
 
         pipeline_module.execute_selection_subshard = recording_subshard
         try:
-            run = LangCrUXPipeline(config).run()
+            run = LangCrUXPipeline(config).run(executor=ShuffledExecutor(seed=43))
         finally:
             pipeline_module.execute_selection_subshard = real_subshard
 

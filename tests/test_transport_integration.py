@@ -69,7 +69,7 @@ class TestLiveParity:
 
     def test_batched_subsharded_http_run_matches(self, live_server,
                                                  simulated_bytes, tmp_path) -> None:
-        config = _http_config(live_server, executor="thread", workers=3,
+        config = _http_config(live_server, executor="process", workers=2,
                               sub_shard_size=3, max_in_flight=4)
         assert _build_bytes(config, tmp_path, "subsharded.jsonl") == simulated_bytes
 
