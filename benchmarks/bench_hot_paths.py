@@ -3,7 +3,9 @@
 PR 7 rewrote the three CPU-heaviest post-index primitives around
 precomputed state: ``script_histogram``/``textual_length`` classify each
 *distinct* character once through a codepoint→script memo instead of
-bisecting per character, ``extract_ngrams`` memoises per-token gram dicts,
+bisecting per character (and, since, classify a whole text with one
+``str.translate`` over script-code tables kept with that memo),
+``extract_ngrams`` memoises per-token gram dicts,
 and ``NGramModel.score`` folds the Laplace smoothing into a precomputed
 log-probability table so scoring is one dict lookup per gram.  Every fast
 path keeps its naive reference implementation (in ``tests/langid_oracle.py``),

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ElementOutcome:
     """The audit outcome for a single target element.
 
@@ -26,7 +26,7 @@ class ElementOutcome:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RuleResult:
     """Result of one audit rule over one document.
 

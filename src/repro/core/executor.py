@@ -44,11 +44,13 @@ Sizing
 ------
 ``create_executor("auto", workers)`` picks :class:`SerialExecutor` for one
 worker and :class:`ProcessExecutor` otherwise.  Over-provisioning
-(``workers > windows``) changes no output; the surplus workers sit idle.
+(``workers > windows``) changes no output, and the process pool starts no
+more workers than there are windows.
 """
 
 from __future__ import annotations
 
+import itertools
 import queue
 import time
 from abc import ABC, abstractmethod
@@ -258,39 +260,29 @@ class ProcessExecutor(PipelineExecutor):
     def run(self, fn: Callable[[Any], Any],
             shards: Sequence[Any] | Iterable[Any]) -> Iterator[ShardResult]:
         source = enumerate(shards)
+        window = self.workers + 1
+        # Pull the first submission window before forking: a source with
+        # fewer windows than workers gets a pool no larger than its windows
+        # (the ``fork`` pool starts every worker at its first submit).
+        first = list(itertools.islice(source, window))
+        if not first:
+            return
+        pool = futures.ProcessPoolExecutor(max_workers=min(self.workers, len(first)))
         done: queue.SimpleQueue = queue.SimpleQueue()
-        pool: futures.ProcessPoolExecutor | None = None
         # Futures not yet taken off ``done`` (a taken one holds its result).
         pending: set[futures.Future] = set()
-        in_flight = 0
-        exhausted = False
-        window = self.workers + 1
 
-        def submit_next() -> bool:
-            """Submit one shard from the source; False when exhausted."""
-            nonlocal pool, in_flight, exhausted
-            if exhausted:
-                return False
-            try:
-                index, shard = next(source)
-            except StopIteration:
-                exhausted = True
-                return False
-            if pool is None:  # first task: spin the pool up lazily
-                pool = futures.ProcessPoolExecutor(max_workers=self.workers)
+        def submit(index: int, shard: Any) -> None:
             future = pool.submit(_timed_call, fn, index, shard)
             future.add_done_callback(done.put)
             pending.add(future)
-            in_flight += 1
-            return True
 
         try:
-            while in_flight < window and submit_next():
-                pass
-            while in_flight:
+            for index, shard in first:
+                submit(index, shard)
+            while pending:
                 future = done.get()
                 pending.discard(future)
-                in_flight -= 1
                 try:
                     index, shard, value, duration_s, error = future.result()
                 except futures.CancelledError:  # pragma: no cover - abort path
@@ -307,19 +299,18 @@ class ProcessExecutor(PipelineExecutor):
                 # state the consumer updates (e.g. finished countries) is
                 # visible to a lazily filtered shard source before the next
                 # submission.
-                while in_flight < window and submit_next():
-                    pass
+                for index, shard in itertools.islice(source, window - len(pending)):
+                    submit(index, shard)
         finally:
-            if pool is not None:
-                for future in pending:
-                    future.cancel()
-                # Every future fires its done-callback exactly once — on
-                # completion or on cancellation — so exactly one envelope
-                # per pending future is still owed; block for each instead
-                # of sleep-polling future states.
-                for _ in range(len(pending)):
-                    done.get()
-                pool.shutdown(wait=True)
+            for future in pending:
+                future.cancel()
+            # Every future fires its done-callback exactly once — on
+            # completion or on cancellation — so exactly one envelope per
+            # pending future is still owed; block for each instead of
+            # sleep-polling future states.
+            for _ in range(len(pending)):
+                done.get()
+            pool.shutdown(wait=True)
 
 
 def create_executor(kind: str = "auto", workers: int = 1) -> PipelineExecutor:
@@ -331,7 +322,7 @@ def create_executor(kind: str = "auto", workers: int = 1) -> PipelineExecutor:
             :class:`ProcessExecutor` otherwise.
         workers: Number of concurrent work units.  Must be >= 1; a value
             larger than the number of units is allowed (surplus workers
-            idle).
+            are not started).
 
     Raises:
         ValueError: For an unknown ``kind`` or a non-positive worker count.

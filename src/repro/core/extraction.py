@@ -39,7 +39,7 @@ _BUTTON_INPUT_TYPES = frozenset({"button", "submit", "reset"})
 _LABELLED_INPUT_EXCLUDES = frozenset({"hidden", "button", "submit", "reset", "image"})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExtractedText:
     """One accessibility-text observation.
 

@@ -59,7 +59,15 @@ class NameSource(str, enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
+#: Name sources that count as dedicated accessibility markup.
+_EXPLICIT_SOURCES = frozenset({
+    NameSource.ARIA_LABELLEDBY,
+    NameSource.ARIA_LABEL,
+    NameSource.NATIVE_MARKUP,
+})
+
+
+@dataclass(slots=True)
 class AccessibleNameResult:
     """Outcome of accessible-name computation for one element.
 
@@ -77,11 +85,7 @@ class AccessibleNameResult:
 
     @property
     def explicit(self) -> bool:
-        return self.source in (
-            NameSource.ARIA_LABELLEDBY,
-            NameSource.ARIA_LABEL,
-            NameSource.NATIVE_MARKUP,
-        )
+        return self.source in _EXPLICIT_SOURCES
 
     @property
     def is_empty(self) -> bool:

@@ -23,11 +23,9 @@ from dataclasses import dataclass
 
 from repro import perf
 from repro.langid.languages import Language, get_language
-from repro.langid.scripts import (
-    Script,
-    script_histogram,
-    script_shares,
-)
+from repro.langid.scripts import SCRIPT_CODES, Script, script_codes, script_shares
+
+_LATIN_CODE = SCRIPT_CODES[Script.LATIN]
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ class ScriptDetector:
     def __init__(self, language: Language | str, *, latin_is_english: bool = True) -> None:
         self.language = get_language(language) if isinstance(language, str) else language
         self.latin_is_english = latin_is_english
-        self._native_scripts = set(self.language.scripts)
+        self._native_codes = tuple(SCRIPT_CODES[script] for script in set(self.language.scripts))
         self._specific = self.language.specific_chars
 
     def share(self, text: str) -> LanguageShare:
@@ -103,12 +101,14 @@ class ScriptDetector:
         with perf.stage("langid"):
             perf.count("langid.texts")
             perf.count("langid.chars", len(text))
-            counts = script_histogram(text, textual_only=True)
-            total = sum(counts.values())
+            # One translate classifies the text; each script is then one
+            # C-level count of its code over the textual characters.
+            coded = script_codes(text, textual_only=True)
+            total = len(coded)
             if total == 0:
                 return LanguageShare(0.0, 0.0, 0.0, 0)
 
-            native_chars = sum(counts.get(script, 0) for script in self._native_scripts)
+            native_chars = sum(map(coded.count, self._native_codes))
 
             if self._specific and native_chars:
                 # The target shares its script with a sibling language; require
@@ -119,7 +119,7 @@ class ScriptDetector:
                 if self._specific.isdisjoint(text):
                     native_chars = 0
 
-            english_chars = counts.get(Script.LATIN, 0) if self.latin_is_english else 0
+            english_chars = coded.count(_LATIN_CODE) if self.latin_is_english else 0
             other_chars = total - native_chars - english_chars
             return LanguageShare(
                 native=native_chars / total,

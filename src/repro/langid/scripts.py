@@ -14,11 +14,19 @@ than being silently dropped.
 Only the code-point ranges relevant to script identity are listed; the goal is
 not full Unicode property coverage but a faithful re-implementation of the
 paper's detection heuristic.
+
+Counting is one kernel: :func:`script_codes` rewrites a text as one ASCII
+code per character (:data:`SCRIPT_CODES`) with a single ``str.translate``
+over tables memoised per distinct character, and every count —
+:func:`script_histogram`, :func:`textual_length` and
+:meth:`repro.langid.detector.ScriptDetector.share` — is ``len`` or
+``str.count`` over that string.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 import unicodedata
 from bisect import bisect_right
 from collections import Counter
@@ -221,16 +229,61 @@ def _classify(char: str) -> Script:
     return Script.OTHER
 
 
-# Memoised codepoint→script lookup.  Real text draws from a small set of
-# distinct characters, so after warm-up every classification is one dict get
-# (the bisect + unicodedata fallback runs once per distinct character for the
-# lifetime of the process).  Plain dict get/set is GIL-atomic and the cached
-# value is deterministic, so concurrent threads can share the cache; a
-# racing fill at worst recomputes the same value.  Bounded to keep adversarial
-# input (e.g. fuzzing across the whole codepoint space) from growing it
-# without limit.
+#: One-character ASCII code per script, the alphabet of the translate tables.
+SCRIPT_CODES: dict[Script, str] = {
+    script: chr(ord("A") + index) for index, script in enumerate(Script)}
+_SCRIPT_OF_CODE: dict[str, Script] = {code: script for script, code in SCRIPT_CODES.items()}
+_TEXTUAL_CODES: dict[Script, str | None] = {
+    script: code if script.is_textual() else None for script, code in SCRIPT_CODES.items()}
+
+
+# Memoised codepoint→script lookup, plus two ``str.translate`` tables filled
+# and replaced with it: ``_CODE_TABLE`` maps each memoised character to its
+# script's code, ``_TEXTUAL_CODE_TABLE`` the same but non-textual scripts to
+# ``None`` (deleted).  The bisect + unicodedata fallback runs once per
+# distinct character; the bound keeps adversarial input (e.g. fuzzing across
+# the whole codepoint space) from growing the three dicts without limit.
+#
+# All 128 ASCII code points are always present, so a translated text is pure
+# ASCII exactly when every character was memoised: an unseen character
+# survives ``translate`` as itself, non-ASCII, and ``str.isascii`` catches
+# it.  Lookups take no lock.  Fills and resets hold ``_MEMO_LOCK``, and a
+# reset binds fresh ASCII-seeded dicts rather than clearing the live ones, so
+# a concurrent lookup never meets an untranslated ASCII character (which
+# would be indistinguishable from a code).
 _SCRIPT_CACHE: dict[str, Script] = {}
+_CODE_TABLE: dict[int, str] = {}
+_TEXTUAL_CODE_TABLE: dict[int, str | None] = {}
 _SCRIPT_CACHE_MAX = 0x20000
+_MEMO_LOCK = threading.Lock()
+
+
+def _memoise(chars: Iterable[str], cache: dict[str, Script], table: dict[int, str],
+             textual: dict[int, str | None]) -> None:
+    for char in chars:
+        script = cache[char] = _classify(char)
+        table[ord(char)] = SCRIPT_CODES[script]
+        textual[ord(char)] = _TEXTUAL_CODES[script]
+
+
+def _reset_cache() -> None:
+    """Replace the memo and both tables with fresh ones holding only ASCII."""
+    global _SCRIPT_CACHE, _CODE_TABLE, _TEXTUAL_CODE_TABLE
+    cache, table, textual = {}, {}, {}
+    _memoise(map(chr, range(128)), cache, table, textual)
+    _SCRIPT_CACHE, _CODE_TABLE, _TEXTUAL_CODE_TABLE = cache, table, textual
+
+
+_reset_cache()
+
+
+def _fill_cache(text: str) -> None:
+    """Memoise every distinct character of ``text`` (caller holds ``_MEMO_LOCK``)."""
+    missing = [char for char in set(text) if char not in _SCRIPT_CACHE]
+    if len(_SCRIPT_CACHE) + len(missing) > _SCRIPT_CACHE_MAX:
+        _reset_cache()
+        missing = [char for char in set(text) if char not in _SCRIPT_CACHE]
+    _memoise(missing, _SCRIPT_CACHE, _CODE_TABLE, _TEXTUAL_CODE_TABLE)
 
 
 def script_of(char: str) -> Script:
@@ -246,22 +299,28 @@ def script_of(char: str) -> Script:
         raise ValueError(f"script_of expects a single character, got {char!r}")
     script = _SCRIPT_CACHE.get(char)
     if script is None:
-        if len(_SCRIPT_CACHE) >= _SCRIPT_CACHE_MAX:
-            _SCRIPT_CACHE.clear()
-        script = _SCRIPT_CACHE[char] = _classify(char)
+        with _MEMO_LOCK:
+            _fill_cache(char)
+            script = _SCRIPT_CACHE[char]
     return script
 
 
-def _fill_cache(text: str) -> dict[str, Script]:
-    """Ensure every distinct character of ``text`` is in the memo; return it."""
-    cache = _SCRIPT_CACHE
-    missing = [char for char in set(text) if char not in cache]
-    if missing:
-        if len(cache) + len(missing) > _SCRIPT_CACHE_MAX:
-            cache.clear()
-        for char in missing:
-            cache[char] = _classify(char)
-    return cache
+def script_codes(text: str, *, textual_only: bool = False) -> str:
+    """``text`` with every character replaced by its script's code.
+
+    The result is an ASCII string over :data:`SCRIPT_CODES`, one code per
+    character of ``text``; with ``textual_only`` the characters of
+    non-textual scripts are dropped instead, so its length is
+    :func:`textual_length`.  Counting one script is then one
+    ``str.count`` of its code.
+    """
+    coded = text.translate(_TEXTUAL_CODE_TABLE if textual_only else _CODE_TABLE)
+    if not coded.isascii():
+        # Retry under the lock, so no reset can drop a character in between.
+        with _MEMO_LOCK:
+            _fill_cache(text)
+            coded = text.translate(_TEXTUAL_CODE_TABLE if textual_only else _CODE_TABLE)
+    return coded
 
 
 def script_histogram(text: str, *, textual_only: bool = False) -> Counter[Script]:
@@ -272,31 +331,18 @@ def script_histogram(text: str, *, textual_only: bool = False) -> Counter[Script
     for the paper's "50% or more visible textual content in the target
     language" inclusion criterion.
 
-    Fast path: the per-character pass runs entirely in C —
-    ``Counter(map(cache.__getitem__, text))`` — instead of one Python-level
-    bisect per character.  A ``KeyError`` (some character not memoised yet)
-    falls back to pre-filling the memo for the distinct characters and
-    retrying, so warm calls do zero Python-level per-character work.
-    Pinned equal to a per-character reference by the parity suite
-    (``tests/langid_oracle.py``).
+    The text is classified by :func:`script_codes` (one ``str.translate``)
+    and the codes are counted in C; scripts appear in the order of their
+    first character, and only scripts that occur.  Pinned equal to a
+    per-character reference by the parity suite (``tests/langid_oracle.py``).
     """
-    try:
-        counts = Counter(map(_SCRIPT_CACHE.__getitem__, text))
-    except KeyError:
-        counts = Counter(map(_fill_cache(text).__getitem__, text))
-    if textual_only:
-        for script in _NON_TEXTUAL:
-            counts.pop(script, None)
-    return counts
+    return Counter({_SCRIPT_OF_CODE[code]: count for code, count
+                    in Counter(script_codes(text, textual_only=textual_only)).items()})
 
 
 def textual_length(text: str) -> int:
     """Number of characters in ``text`` that belong to a textual script."""
-    try:
-        counts = Counter(map(_SCRIPT_CACHE.__getitem__, text))
-    except KeyError:
-        counts = Counter(map(_fill_cache(text).__getitem__, text))
-    return len(text) - sum(counts[script] for script in _NON_TEXTUAL)
+    return len(script_codes(text, textual_only=True))
 
 
 def script_shares(text: str) -> dict[Script, float]:

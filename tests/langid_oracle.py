@@ -1,10 +1,10 @@
 """Reference implementations of the langid hot paths, for tests and benchmarks.
 
-The product functions classify characters through a codepoint→script memo,
-memoise per-token n-gram dicts and score from a precomputed log-probability
-table.  These are the plain versions they replaced: one range
-classification per character, one ``Counter`` increment per gram, one
-smoothed probability per gram.  ``tests/test_langid_hot_paths.py`` pins the
+The product functions classify a whole text with one ``str.translate``
+over a memoised codepoint→script-code table, memoise per-token n-gram dicts
+and score from a precomputed log-probability table.  These are the plain
+versions they replaced: one range classification per character, one
+``Counter`` increment per gram, one smoothed probability per gram.  ``tests/test_langid_hot_paths.py`` pins the
 two equal on any input, and ``benchmarks/bench_hot_paths.py`` times one
 against the other.  Test-only; never imported from ``src/``.
 """
@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from repro.langid.detector import LanguageShare
+from repro.langid.languages import Language
 from repro.langid.ngram import NGramModel
 from repro.langid.scripts import Script, _classify
 
@@ -36,6 +38,29 @@ def script_histogram_naive(text: str, *, textual_only: bool = False) -> Counter[
 def textual_length_naive(text: str) -> int:
     """Reference for :func:`repro.langid.scripts.textual_length` (memo bypassed)."""
     return sum(1 for char in text if _classify(char).is_textual())
+
+
+def share_naive(language: Language, text: str, *,
+                latin_is_english: bool = True) -> LanguageShare:
+    """Reference for :meth:`repro.langid.detector.ScriptDetector.share`.
+
+    Counts through :func:`script_histogram_naive` and tests the
+    language-specific characters one by one.
+    """
+    counts = script_histogram_naive(text, textual_only=True)
+    total = sum(counts.values())
+    if total == 0:
+        return LanguageShare(0.0, 0.0, 0.0, 0)
+    native_chars = sum(counts[script] for script in set(language.scripts))
+    if language.specific_chars and not any(char in language.specific_chars for char in text):
+        native_chars = 0
+    english_chars = counts[Script.LATIN] if latin_is_english else 0
+    return LanguageShare(
+        native=native_chars / total,
+        english=english_chars / total,
+        other=max(total - native_chars - english_chars, 0) / total,
+        textual_chars=total,
+    )
 
 
 def extract_ngrams_naive(text: str, n_values: tuple[int, ...] = (1, 2, 3)) -> Counter[str]:

@@ -10,6 +10,7 @@ edge cases, and the shard-isolation fix (per-shard audit engines, stateless
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 import weakref
 from pathlib import Path
@@ -88,6 +89,19 @@ class TestWorkerCountEdges:
     def test_empty_shard_list_yields_nothing(self) -> None:
         for executor in (SerialExecutor(), ProcessExecutor(4)):
             assert list(executor.run(lambda shard: shard, [])) == []
+
+    @pytest.mark.parametrize("windows", [1, 3])
+    def test_pool_starts_no_more_workers_than_windows(self, windows) -> None:
+        before = set(multiprocessing.active_children())
+        stream = ProcessExecutor(6).run(_slow_echo, list(range(windows)))
+        try:
+            next(stream)
+            # The pool stays up until the stream ends, so every worker it
+            # started is still alive here.
+            started = set(multiprocessing.active_children()) - before
+        finally:
+            stream.close()
+        assert len(started) <= windows
 
 
 def _explode_in_worker(shard: str) -> str:

@@ -13,15 +13,23 @@ references live in ``tests/langid_oracle.py``.
 
 from __future__ import annotations
 
+import sys
+import threading
+from contextlib import contextmanager
+
 from hypothesis import given, settings, strategies as st
 
+from repro.langid import scripts
+from repro.langid.detector import ScriptDetector
+from repro.langid.languages import LANGUAGES
 from repro.langid.ngram import NGramClassifier, default_english_model, extract_ngrams
-from repro.langid.scripts import script_histogram, script_shares, textual_length
+from repro.langid.scripts import SCRIPT_CODES, script_histogram, script_shares, textual_length
 
 from langid_oracle import (
     extract_ngrams_naive,
     score_naive,
     script_histogram_naive,
+    share_naive,
     textual_length_naive,
 )
 
@@ -82,6 +90,161 @@ class TestScriptParity:
         total = sum(naive.values())
         assert script_shares(text) == {script: count / total
                                        for script, count in naive.items()}
+
+
+#: Characters no text before them has memoised: an astral emoji, a CJK
+#: Extension B ideograph, no-break space, ideographic space, line separator.
+UNSEEN = "\U0001FAE0\U00020001\u00a0\u3000\u2028"
+#: Both ends of every classified range (so every script of every
+#: ``LANGUAGES`` target), the Urdu and Persian specific characters, the
+#: unseen characters and some ASCII.
+kernel_alphabet = st.sampled_from(sorted(
+    {chr(codepoint) for start, end, _ in scripts._RANGES for codepoint in (start, end)}
+    | {char for language in LANGUAGES.values() for char in language.specific_chars}
+    | set(UNSEEN) | set("aZ09 .-\t")))
+kernel_text = st.text(alphabet=kernel_alphabet, max_size=80)
+language_codes = st.sampled_from(sorted(LANGUAGES))
+
+
+@contextmanager
+def fresh_memo(max_size: int | None = None):
+    """Run with an empty script memo (optionally bounded), restored afterwards."""
+    saved = (scripts._SCRIPT_CACHE, scripts._CODE_TABLE,
+             scripts._TEXTUAL_CODE_TABLE, scripts._SCRIPT_CACHE_MAX)
+    if max_size is not None:
+        scripts._SCRIPT_CACHE_MAX = max_size
+    scripts._reset_cache()
+    try:
+        yield
+    finally:
+        (scripts._SCRIPT_CACHE, scripts._CODE_TABLE,
+         scripts._TEXTUAL_CODE_TABLE, scripts._SCRIPT_CACHE_MAX) = saved
+
+
+def assert_kernel_matches_oracle(text: str, code: str, latin_is_english: bool) -> None:
+    language = LANGUAGES[code]
+    detector = ScriptDetector(language, latin_is_english=latin_is_english)
+    assert detector.share(text) == share_naive(language, text,
+                                               latin_is_english=latin_is_english)
+    assert script_histogram(text) == script_histogram_naive(text)
+    assert (script_histogram(text, textual_only=True)
+            == script_histogram_naive(text, textual_only=True))
+    assert textual_length(text) == textual_length_naive(text)
+
+
+def assert_memo_in_lockstep(*texts: str) -> None:
+    """The memo and both translate tables hold the same characters, bounded.
+
+    ``texts`` are the texts classified since the memo was last emptied.
+    """
+    memo = scripts._SCRIPT_CACHE
+    codepoints = {ord(char) for char in memo}
+    assert codepoints == set(scripts._CODE_TABLE) == set(scripts._TEXTUAL_CODE_TABLE)
+    assert set(range(128)) <= codepoints
+    for char, script in memo.items():
+        assert scripts._CODE_TABLE[ord(char)] == SCRIPT_CODES[script]
+        assert scripts._TEXTUAL_CODE_TABLE[ord(char)] == (
+            SCRIPT_CODES[script] if script.is_textual() else None)
+    # A fill never grows the memo past its bound, except by one text's
+    # own distinct characters right after a reset.
+    widest = max(len(set(text)) for text in texts)
+    assert len(memo) <= max(scripts._SCRIPT_CACHE_MAX, 128 + widest)
+
+
+class TestTranslateKernel:
+    """``share``/``script_histogram``/``textual_length`` against the oracle.
+
+    The kernel classifies through translate tables kept in lockstep with the
+    script memo; these tests start from an empty memo, so every non-ASCII
+    character is unseen when the kernel first meets it.
+    """
+
+    @settings(max_examples=150)
+    @given(kernel_text, language_codes, st.booleans())
+    def test_fresh_memo_matches_oracle(self, text: str, code: str,
+                                       latin_is_english: bool) -> None:
+        with fresh_memo():
+            assert_kernel_matches_oracle(text, code, latin_is_english)
+            assert_memo_in_lockstep(text)
+
+    @settings(max_examples=100)
+    @given(st.lists(kernel_text, min_size=1, max_size=6), language_codes)
+    def test_memo_cleared_between_texts_matches_oracle(self, texts: list[str],
+                                                       code: str) -> None:
+        # 12 entries beyond ASCII: almost every text forces a reset.
+        with fresh_memo(max_size=140):
+            for seen, text in enumerate(texts, 1):
+                assert_kernel_matches_oracle(text, code, True)
+                assert_memo_in_lockstep(*texts[:seen])
+
+    def test_unseen_characters(self) -> None:
+        for char in UNSEEN:
+            for text in (char, f"a{char}b", f"ঀ{char}ไ"):
+                with fresh_memo():
+                    assert_kernel_matches_oracle(text, "bn", True)
+                    assert_memo_in_lockstep(text)
+
+    def test_every_language_including_specific_characters(self) -> None:
+        texts = [
+            "اردو متن کے ساتھ with some English",  # Urdu specific characters
+            "النص العربي مع some English",          # shared script, none of them
+            "فارسی پچ",                              # Persian specific characters
+            "हिन्दी বাংলা ไทย 日本語 ひらがな カタカナ 한국어 русский ελληνικά עברית",
+            "தமிழ் తెలుగు ಕನ್ನಡ മലയാളം ગુજરાતી ਪੰਜਾਬੀ සිංහල ქართული አማርኛ မြန်မာ",
+            "中文 ㄅㄆ" + UNSEEN,
+        ]
+        for code in sorted(LANGUAGES):
+            for text in texts:
+                with fresh_memo():
+                    assert_kernel_matches_oracle(text, code, True)
+                    assert_kernel_matches_oracle(text, code, False)
+        urdu = ScriptDetector(LANGUAGES["ur"])
+        assert urdu.share(texts[0]).native > 0
+        assert urdu.share(texts[1]).native == 0
+
+    def test_threads_sharing_a_resetting_memo_count_exactly(self) -> None:
+        # Four threads classify overlapping texts through a memo so small
+        # that almost every fill resets it; a lookup that met a half-reset
+        # table would count ASCII characters as codes and break parity.
+        texts = ["স্বাগতম welcome ১২৩", "ไทยกข เมนู menu", "汉字テキスト 😀 text",
+                 "اردو متن کے ساتھ", "русский ελληνικά עברית", "\U00020001\u3000abc\u2028",
+                 "sign in, 24/7 support", "Menu Search Home"]
+        expected = [(script_histogram_naive(text), textual_length_naive(text),
+                     share_naive(LANGUAGES["bn"], text)) for text in texts]
+        detector = ScriptDetector(LANGUAGES["bn"])
+        failures: list[str] = []
+
+        def work(offset: int) -> None:
+            for step in range(1000):
+                index = (offset + step) % len(texts)
+                text = texts[index]
+                got = (script_histogram(text), textual_length(text), detector.share(text))
+                if got != expected[index]:
+                    failures.append(text)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with fresh_memo(max_size=140):
+                threads = [threading.Thread(target=work, args=(offset,), daemon=True)
+                           for offset in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
+    def test_memo_overflow_keeps_counting(self) -> None:
+        # Every distinct character of the text itself exceeds the bound.
+        text = "".join(chr(codepoint) for codepoint in range(0x4E00, 0x4E40)) + "ab"
+        with fresh_memo(max_size=140):
+            script_histogram("ঀঁআকখ")
+            assert_kernel_matches_oracle(text, "zh", True)
+            assert_memo_in_lockstep("ঀঁআকখ", text)
 
 
 class TestNgramParity:
