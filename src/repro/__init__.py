@@ -15,8 +15,8 @@ Perspective"* (IMC 2025).  It contains:
     a CrUX-style ranking table and geo-aware origin servers.  This substitutes
     for the live web, which is unavailable in the reproduction environment.
 ``repro.crawler``
-    The crawling substrate: simulated HTTP, VPN vantage points, a URL
-    frontier, robots handling and the LangCrUX crawler itself.
+    The crawling substrate: simulated and real HTTP, VPN vantage points,
+    robots handling and the LangCrUX crawler itself.
 ``repro.audit``
     A Lighthouse/Axe-core style accessibility audit engine implementing the
     twelve language-sensitive rules and Lighthouse-like weighted scoring.

@@ -89,6 +89,7 @@ from repro.core.kizuki import rescore_dataset
 from repro.core.language_mix import classify_texts
 from repro.core.mismatch import mismatch_examples, mismatch_summary
 from repro.core.pipeline import (
+    CrawlFailedError,
     LangCrUXPipeline,
     PipelineConfig,
     TRANSPORT_KINDS,
@@ -366,14 +367,18 @@ def _cmd_build(args: argparse.Namespace) -> int:
                                                 keep_in_memory=False)
         return LangCrUXPipeline(config).run()
 
-    if args.profile_dump is not None:
-        import cProfile
+    try:
+        if args.profile_dump is not None:
+            import cProfile
 
-        profiler = cProfile.Profile()
-        result = profiler.runcall(_run)
-        profiler.dump_stats(args.profile_dump)
-    else:
-        result = _run()
+            profiler = cProfile.Profile()
+            result = profiler.runcall(_run)
+            profiler.dump_stats(args.profile_dump)
+        else:
+            result = _run()
+    except CrawlFailedError as error:
+        LOG.error(f"build failed: {error}")
+        return 1
     if args.stream_output is not None:
         print(f"streamed {result.streamed_records} site records to {args.stream_output}")
         memory = perf.memory_gauges()
@@ -448,7 +453,7 @@ def _cmd_dist_build(args: argparse.Namespace) -> int:
                               lease_timeout_s=args.lease_timeout)
     try:
         result = coordinator.run()
-    except DistBuildError as error:
+    except (DistBuildError, CrawlFailedError) as error:
         LOG.error(f"distributed build failed: {error}")
         return 1
     print(f"streamed {result.streamed_records} site records to {args.output}")

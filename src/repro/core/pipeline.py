@@ -89,16 +89,11 @@ from repro.core.site_selection import (
     SiteSelector,
 )
 from repro.crawler.crawler import CrawlerConfig, LangCruxCrawler
-from repro.crawler.fetcher import Fetcher, FetcherConfig, SimulatedTransport
+from repro.crawler.fetcher import Fetcher, SimulatedTransport
 from repro.crawler.metrics import TransportMetrics
 from repro.crawler.records import CrawlRecord
 from repro.crawler.session import CrawlSession
-from repro.crawler.transport import (
-    HttpAsyncTransport,
-    RetryPolicy,
-    TransportStack,
-    build_transport_stack,
-)
+from repro.crawler.transport import HttpAsyncTransport, TransportStack, build_transport_stack
 from repro.crawler.vpn import DEFAULT_PROVIDERS, VantagePoint, VPNCoverageError, VPNManager
 from repro.html.dom import Document
 from repro.html.index import DocumentIndex
@@ -172,9 +167,6 @@ class PipelineConfig:
         rate_limit: Per-host request rate (requests/second) enforced by the
             politeness layer; ``None`` disables rate limiting.
         max_per_host: Per-host concurrent-request cap; ``None`` disables.
-        retry_backoff_s: Base backoff of the HTTP transport's retry layer
-            (exponential, deterministic per-host jitter).  0 retries
-            immediately — appropriate for loopback crawls.
         profile: Collect per-stage timings and op counters
             (:class:`~repro.perf.PerfCounters`) in every shard worker and
             aggregate them onto ``PipelineResult.perf_metrics``.  Profiling
@@ -212,7 +204,6 @@ class PipelineConfig:
     cache_fsync: str = "close"
     rate_limit: float | None = None
     max_per_host: int | None = None
-    retry_backoff_s: float = 0.0
     profile: bool = False
     trace_dir: str | None = None
     trace_id: str | None = None
@@ -221,6 +212,10 @@ class PipelineConfig:
 
 #: Transport kinds accepted by :class:`PipelineConfig` (and the CLI).
 TRANSPORT_KINDS = ("simulated", "http")
+
+
+class CrawlFailedError(RuntimeError):
+    """Every network request of a run raised: not one page was fetched."""
 
 
 @dataclass
@@ -361,30 +356,18 @@ def transport_stack_for_country(config: PipelineConfig, country_code: str,
     if config.transport not in TRANSPORT_KINDS:
         raise ValueError(f"unknown transport {config.transport!r}; "
                          f"expected one of {TRANSPORT_KINDS}")
-    rng_factory = functools.partial(_host_transport_rng, config.seed, country_code)
     wants_http = config.transport == "http"
     wants_extras = (config.crawl_cache is not None or config.rate_limit is not None
                     or config.max_per_host is not None)
     if not wants_http and not wants_extras:
         return None
-    if wants_http:
-        base = HttpAsyncTransport(gateway=config.http_gateway,
-                                  timeout_s=config.http_timeout_s)
-        # The wire can genuinely fail transiently, so the stack retries with
-        # deterministic per-host jitter; the simulated base keeps retry
-        # behaviour in the fetcher (as always) so injected-failure runs stay
-        # byte-identical with and without the stack.
-        retry = RetryPolicy(backoff_base_s=config.retry_backoff_s)
-    else:
-        base = _simulated_transport(config, country_code, web)
-        retry = None
+    base = HttpAsyncTransport(gateway=config.http_gateway,
+                              timeout_s=config.http_timeout_s) \
+        if wants_http else _simulated_transport(config, country_code, web)
     return build_transport_stack(
         base,
-        retry=retry,
-        rng_factory=rng_factory,
         rate_per_host=config.rate_limit,
         max_per_host=config.max_per_host,
-        user_agent=FetcherConfig().user_agent,
         cache_dir=config.crawl_cache,
         cache_fsync=config.cache_fsync,
     )
@@ -406,26 +389,20 @@ def crawler_for_country(config: PipelineConfig, country_code: str,
     politeness knobs) the fetcher sends through an assembled
     :class:`~repro.crawler.transport.TransportStack`, which
     :meth:`~repro.crawler.session.CrawlSession.close` releases; otherwise
-    straight through the simulated transport.
+    straight through the simulated transport.  Either way the fetcher is
+    the one retry loop, above the crawl cache when there is one.
     """
     if vantage is None:
         vantage = vantage_for_country(config, country_code)
     stack = transport_stack_for_country(config, country_code, web)
     transport = stack.transport if stack is not None \
         else _simulated_transport(config, country_code, web)
-    # When the stack carries its own retry layer (HTTP mode), it is the
-    # single retry authority: the fetcher's identical policy on top would
-    # multiply attempts against persistently failing origins (4 wire tries
-    # become 16) and skew the retry counters.
-    fetcher_config = FetcherConfig(max_retries=0) \
-        if config.transport == "http" else FetcherConfig()
-    session = CrawlSession(fetcher=Fetcher(transport, fetcher_config), vantage=vantage,
+    session = CrawlSession(fetcher=Fetcher(transport), vantage=vantage,
                            respect_robots=config.respect_robots,
                            transport_stack=stack)
     crawler_config = CrawlerConfig(
         max_pages_per_site=config.max_pages_per_site,
         follow_links=config.max_pages_per_site > 1,
-        respect_robots=config.respect_robots,
     )
     return LangCruxCrawler(session, crawler_config)
 
@@ -597,8 +574,9 @@ def _walk_window(config: PipelineConfig, spec: SelectionSubShard, web: Synthetic
     """Crawl and measure one window, then release its crawl session.
 
     Returns the evaluations with the transport stack's metrics snapshot
-    (``None`` on the plain simulated fast path).  The crawler and its
-    transport die on return, before any record is built.
+    (``None`` on the plain simulated fast path), the fetcher's retries
+    folded in.  The crawler and its transport die on return, before any
+    record is built.
     """
     selector = selector_for_country(config, spec.country_code, web)
     session = selector.crawler.session
@@ -611,7 +589,10 @@ def _walk_window(config: PipelineConfig, spec: SelectionSubShard, web: Synthetic
     finally:
         session.close()
     stack = session.transport_stack
-    return evaluations, stack.metrics if stack is not None else None
+    if stack is None:
+        return evaluations, None
+    stack.metrics.add("retries", session.fetcher.stats["retries"])
+    return evaluations, stack.metrics
 
 
 def execute_selection_subshard(config: PipelineConfig, spec: SelectionSubShard,
@@ -978,6 +959,13 @@ class LangCrUXPipeline:
                     vantages[metric.shard] = vantage_for_country(self.config, metric.shard)
                     outcomes[metric.shard] = outcome
                     metrics[metric.shard] = metric
+                transport = totals.transport
+                if transport is not None and transport.network_requests \
+                        and transport.network_errors == transport.network_requests:
+                    # An unreachable network would otherwise publish an
+                    # empty dataset as if every candidate had failed on its own.
+                    raise CrawlFailedError(
+                        f"all {transport.network_requests} network requests failed")
             except BaseException:
                 if writer is not None:
                     writer.abort()

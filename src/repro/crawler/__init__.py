@@ -7,15 +7,15 @@ that methodology against the synthetic web:
 * :mod:`repro.crawler.http` — URL handling, requests, responses and headers.
 * :mod:`repro.crawler.vpn` — VPN providers, vantage points and per-country
   exit selection (the ProtonVPN / Hotspot Shield combination of the paper).
-* :mod:`repro.crawler.robots` — robots.txt parsing and politeness decisions.
-* :mod:`repro.crawler.frontier` — a deduplicating URL frontier with per-host
-  politeness delays.
+* :mod:`repro.crawler.robots` — robots.txt parsing.
 * :mod:`repro.crawler.fetcher` — the async transport protocol, the
   simulated transport over :class:`repro.webgen.server.SyntheticWeb`, and
-  the fetcher: retries, redirect handling and batched concurrent fetching.
+  the fetcher: the crawl's one retry loop, redirect handling and batched
+  concurrent fetching.
 * :mod:`repro.crawler.transport` — the production transport stack: real
-  HTTP, politeness, retries with backoff and the on-disk crawl cache.
-* :mod:`repro.crawler.session` — a crawl session bound to a country vantage.
+  HTTP, per-host politeness and the on-disk crawl cache.
+* :mod:`repro.crawler.session` — a crawl session bound to a country
+  vantage; the crawl's one robots.txt check.
 * :mod:`repro.crawler.records` — crawl records (page snapshots).
 * :mod:`repro.crawler.crawler` — the LangCrUX crawler tying it all together.
 
@@ -28,7 +28,6 @@ sequential crawl.
 from repro.crawler.http import URL, Request, Response, Headers
 from repro.crawler.vpn import VantagePoint, VPNProvider, VPNManager, DEFAULT_PROVIDERS
 from repro.crawler.fetcher import AsyncTransport, Fetcher, FetchError, SimulatedTransport
-from repro.crawler.frontier import Frontier, FrontierEntry
 from repro.crawler.records import PageSnapshot, CrawlRecord
 from repro.crawler.crawler import LangCruxCrawler, CrawlerConfig
 
@@ -45,8 +44,6 @@ __all__ = [
     "Fetcher",
     "FetchError",
     "SimulatedTransport",
-    "Frontier",
-    "FrontierEntry",
     "PageSnapshot",
     "CrawlRecord",
     "LangCruxCrawler",

@@ -22,10 +22,10 @@ every record is identical whatever ``max_in_flight`` is.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.crawler.fetcher import FetchError
-from repro.crawler.frontier import Frontier, FrontierEntry
 from repro.crawler.http import URL
 from repro.crawler.records import CrawlRecord, PageSnapshot
 from repro.crawler.session import CrawlSession
@@ -41,14 +41,13 @@ class CrawlerConfig:
         max_pages_per_site: Upper bound on pages fetched per origin
             (homepage included).
         follow_links: Whether to discover and fetch same-origin subpages.
-        politeness_delay_s: Per-host delay fed to the frontier.
-        respect_robots: Whether to consult robots.txt (on by default).
+
+    Whether robots.txt is honoured is the session's choice
+    (:attr:`~repro.crawler.session.CrawlSession.respect_robots`).
     """
 
     max_pages_per_site: int = 1
     follow_links: bool = False
-    politeness_delay_s: float = 1.0
-    respect_robots: bool = True
 
 
 class LangCruxCrawler:
@@ -57,7 +56,6 @@ class LangCruxCrawler:
     def __init__(self, session: CrawlSession, config: CrawlerConfig | None = None) -> None:
         self.session = session
         self.config = config or CrawlerConfig()
-        self.session.respect_robots = self.config.respect_robots
 
     # -- single origin ---------------------------------------------------------
 
@@ -77,13 +75,14 @@ class LangCruxCrawler:
             error=None if response.ok else f"HTTP {response.status}",
         )
 
-    def _discover_links(self, snapshot: PageSnapshot, origin: URL) -> list[URL]:
-        """Same-origin links found on a fetched page, in document order."""
+    def _discover_links(self, snapshot: PageSnapshot, origin: URL,
+                        seen: set[str]) -> list[URL]:
+        """Same-origin links on a fetched page not yet in ``seen``, in
+        document order; each one returned is added to ``seen``."""
         if not snapshot.html:
             return []
         document = parse_html(snapshot.html, url=snapshot.final_url)
         links: list[URL] = []
-        seen: set[str] = set()
         for anchor in document.find_all("a"):
             href = anchor.get("href")
             if not href:
@@ -104,9 +103,10 @@ class LangCruxCrawler:
     async def crawl_origin(self, entry: CruxEntry, language_code: str) -> CrawlRecord:
         """Crawl one origin and return its record.
 
-        Pages of one origin are fetched strictly in sequence (the
-        frontier's politeness contract); concurrency lives one level up, in
-        the selection walk, where independent origins overlap.
+        Pages of one origin are fetched strictly in sequence, homepage
+        first, then discovered links in the order they were found (each
+        URL at most once); concurrency lives one level up, in the
+        selection walk, where independent origins overlap.
         """
         record = CrawlRecord(
             domain=entry.origin,
@@ -117,22 +117,15 @@ class LangCruxCrawler:
             via_vpn=self.session.vantage.via_vpn,
         )
         origin = URL.parse(f"https://{entry.origin}/")
-        frontier = Frontier(default_delay=self.config.politeness_delay_s,
-                            clock=self.session.clock)
-        frontier.add(FrontierEntry(url=origin, priority=entry.rank,
-                                   country_code=entry.country_code, depth=0))
-        while len(record.pages) < self.config.max_pages_per_site:
-            frontier_entry = frontier.pop()
-            if frontier_entry is None:
-                break
-            if not await self.session.allowed(frontier_entry.url):
+        queue = deque([origin])
+        seen = {str(origin)}
+        while queue and len(record.pages) < self.config.max_pages_per_site:
+            url = queue.popleft()
+            if not await self.session.allowed(url):
                 continue
-            snapshot = await self._snapshot(frontier_entry.url)
+            snapshot = await self._snapshot(url)
             record.pages.append(snapshot)
             if not self.config.follow_links or not snapshot.ok:
                 continue
-            for link in self._discover_links(snapshot, origin):
-                frontier.add(FrontierEntry(url=link, priority=entry.rank,
-                                           country_code=entry.country_code,
-                                           depth=frontier_entry.depth + 1))
+            queue.extend(self._discover_links(snapshot, origin, seen))
         return record

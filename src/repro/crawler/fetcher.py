@@ -3,8 +3,11 @@
 The :class:`Fetcher` owns the behaviours a polite, robust crawler needs on
 top of a raw transport: redirect following (with a hop limit), retrying
 transient failures, and consistent error reporting via :class:`FetchError`.
-The transport itself is a tiny protocol — ``async send(Request) ->
-Response`` (:class:`AsyncTransport`) — with two implementations:
+It is the crawl's only retry loop, whatever the transport: a retryable
+status or a :class:`FetchError` raised by the transport is retried at once,
+up to ``max_retries`` times.  The transport itself is a tiny protocol —
+``async send(Request) -> Response`` (:class:`AsyncTransport`) — with these
+implementations:
 
 * :class:`SimulatedTransport` over :class:`repro.webgen.server.SyntheticWeb`,
   used throughout the reproduction (it also injects configurable transient
@@ -13,7 +16,7 @@ Response`` (:class:`AsyncTransport`) — with two implementations:
   awaits anything;
 * the production stack in :mod:`repro.crawler.transport` —
   ``HttpAsyncTransport`` (real sockets, connection pooling) composed with
-  politeness, retry and on-disk crawl-cache layers;
+  politeness and on-disk crawl-cache layers;
 * anything else a downstream user plugs in.
 
 There is one fetch path.  Callers enter the event loop once per unit of
@@ -135,8 +138,9 @@ class SimulatedTransport:
 class FetcherConfig:
     """Retry/redirect policy of the fetcher.
 
-    Retries are immediate; a transport stack that needs backoff between
-    attempts carries a :class:`~repro.crawler.transport.RetryPolicy`.
+    A retryable status or a transport :class:`FetchError` is retried at
+    once, with no delay, up to ``max_retries`` times; ``max_redirects``
+    bounds a redirect chain.
     """
 
     max_redirects: int = 5
@@ -147,6 +151,8 @@ class FetcherConfig:
 class Fetcher:
     """Fetches URLs through an async transport with retries and redirects.
 
+    ``stats["retries"]`` counts every retried send, whether a retryable
+    status or a transport :class:`FetchError` caused it.
     :meth:`fetch_many` issues a bounded number of concurrent requests.
 
     Args:
@@ -169,12 +175,17 @@ class Fetcher:
                                                  via_vpn=request.via_vpn))
 
     async def _send_with_retries(self, request: Request) -> Response:
-        response = await self._send_once(request)
-        attempts = 0
-        while response.status in RETRYABLE_STATUS_CODES and attempts < self.config.max_retries:
-            attempts += 1
-            self.stats["retries"] += 1
-            response = await self._send_once(request)
+        for attempt in range(self.config.max_retries + 1):
+            if attempt:
+                self.stats["retries"] += 1
+            try:
+                response = await self._send_once(request)
+            except FetchError:
+                if attempt == self.config.max_retries:
+                    raise
+                continue
+            if response.status not in RETRYABLE_STATUS_CODES:
+                break
         return response
 
     async def fetch(self, url: URL | str, *, client_country: str | None = None,
@@ -186,8 +197,9 @@ class Fetcher:
         to treat non-retryable failures.
 
         Raises:
-            FetchError: When a redirect loop/chain exceeds the hop limit or a
-                redirect has no usable target.
+            FetchError: When a redirect loop/chain exceeds the hop limit, a
+                redirect has no usable target, or the transport raised on
+                every attempt.
         """
         parsed = url if isinstance(url, URL) else URL.parse(url)
         request = Request(url=parsed, client_country=client_country, via_vpn=via_vpn)

@@ -63,7 +63,7 @@ class URL:
 
     Only the components the crawler needs are modelled: scheme, host, port,
     path and query.  Fragments are dropped at parse time because they never
-    reach the server and would otherwise defeat frontier deduplication.
+    reach the server and would otherwise defeat the crawler's URL deduplication.
     """
 
     scheme: str

@@ -1,8 +1,9 @@
 """Crawl metrics.
 
 Large crawls need operational visibility: how many requests hit the
-network, how much the crawl cache absorbed, how often retries and rate
-limiting kicked in.  :class:`TransportMetrics` carries those counters.
+network (and how many of them failed), how much the crawl cache absorbed,
+how often retries and rate limiting kicked in.  :class:`TransportMetrics`
+carries those counters.
 """
 
 from __future__ import annotations
@@ -17,22 +18,23 @@ class TransportMetrics:
 
     Every layer of :mod:`repro.crawler.transport` increments the shared
     instance it was built with, so one object answers the questions a crawl
-    operator asks: how many requests actually hit the network, how much was
-    served from the crawl cache, how often retries and rate limiting kicked
-    in.  Increments are lock-protected because wire transports dispatch
-    sends from worker threads.
+    operator asks: how many requests actually hit the network and how many
+    of those raised, how much was served from the crawl cache, how often
+    rate limiting kicked in.  ``retries`` is the fetcher's retry count,
+    folded in when the crawl session's window closes.  Increments are
+    lock-protected because wire transports dispatch sends from worker
+    threads.
 
     Instances are plain picklable data, so shard workers can snapshot and
     ship them back to the parent, which merges them via :meth:`merge`.
     """
 
     network_requests: int = 0
+    network_errors: int = 0
     connections_opened: int = 0
     connections_reused: int = 0
     retries: int = 0
-    retry_wait_s: float = 0.0
     rate_limit_wait_s: float = 0.0
-    robots_denied: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_stores: int = 0
@@ -68,13 +70,12 @@ class TransportMetrics:
         """Human-readable one-liners (used by the CLI build report)."""
         lines = [f"network requests {self.network_requests}"
                  f" (connections opened {self.connections_opened},"
-                 f" reused {self.connections_reused})"]
+                 f" reused {self.connections_reused})"
+                 + (f", {self.network_errors} failed" if self.network_errors else "")]
         if self.cache_hits or self.cache_misses:
             lines.append(f"crawl cache: {self.cache_hits} hits,"
                          f" {self.cache_misses} misses,"
                          f" {self.cache_stores} stored")
-        if self.retries or self.robots_denied:
-            lines.append(f"retries {self.retries}"
-                         f" (waited {self.retry_wait_s:.2f}s),"
-                         f" robots denied {self.robots_denied}")
+        if self.retries:
+            lines.append(f"retries {self.retries}")
         return lines

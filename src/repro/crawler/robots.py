@@ -10,22 +10,18 @@ behave correctly when one is present:
 * ``Disallow`` and ``Allow`` rules with longest-match precedence, including
   the ``*`` (any run of characters) and trailing ``$`` (end anchor) pattern
   operators real-world robots files rely on;
-* ``Crawl-delay`` as a per-host politeness hint consumed by the frontier and
-  the transport politeness layer.
+* ``Crawl-delay``, parsed per group and reported by
+  :meth:`RobotsPolicy.crawl_delay`.
 
-:class:`RobotsCache` adds the expiry policy a long-lived crawl needs: real
-crawlers re-fetch robots.txt periodically (origins change their rules), so
-cached policies age out after ``max_age_s`` and the caller re-fetches.  The
-clock is injectable, which is how the tests — and the virtual-clock crawl
-sessions — drive expiry deterministically.
+:class:`~repro.crawler.session.CrawlSession` fetches each host's robots.txt
+once, keeps the parsed policy for the session, and checks every page
+against it.
 """
 
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 
 def _compile_rule(pattern: str) -> re.Pattern:
@@ -147,63 +143,3 @@ def parse_robots_txt(content: str) -> RobotsPolicy:
                 pass
     return policy
 
-
-@dataclass
-class _CacheEntry:
-    policy: RobotsPolicy
-    fetched_at: float
-
-
-class RobotsCache:
-    """Per-host robots policies with age-based expiry.
-
-    A crawl that runs for days cannot trust a robots.txt fetched at its
-    start: origins change their rules, and the protocol expects crawlers to
-    re-fetch periodically.  Entries therefore expire ``max_age_s`` seconds
-    after they were stored — :meth:`get` returns ``None`` for an expired (or
-    absent) host, which is the caller's cue to re-fetch and :meth:`put` the
-    fresh policy.
-
-    Args:
-        max_age_s: Seconds a stored policy stays valid.  ``None`` disables
-            expiry (entries live for the cache's lifetime).
-        clock: Monotonic time source; injectable so virtual-clock sessions
-            and tests can drive expiry without sleeping.
-    """
-
-    def __init__(self, *, max_age_s: float | None = 3600.0,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        if max_age_s is not None and max_age_s <= 0:
-            raise ValueError(f"max_age_s must be positive or None, got {max_age_s}")
-        self.max_age_s = max_age_s
-        self._clock = clock
-        self._entries: dict[str, _CacheEntry] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, host: str) -> bool:
-        return self.get(host) is not None
-
-    def get(self, host: str) -> RobotsPolicy | None:
-        """The cached policy for ``host``, or ``None`` when absent/expired.
-
-        Expired entries are evicted on access, so a long run's cache does
-        not accumulate stale policies for hosts it never revisits.
-        """
-        entry = self._entries.get(host)
-        if entry is None:
-            return None
-        if self.max_age_s is not None and \
-                self._clock() - entry.fetched_at >= self.max_age_s:
-            del self._entries[host]
-            return None
-        return entry.policy
-
-    def put(self, host: str, policy: RobotsPolicy) -> None:
-        """Store ``policy`` for ``host``, stamped with the current clock."""
-        self._entries[host] = _CacheEntry(policy=policy, fetched_at=self._clock())
-
-    def invalidate(self, host: str) -> None:
-        """Drop the cached policy for ``host`` (no-op when absent)."""
-        self._entries.pop(host, None)

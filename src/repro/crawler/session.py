@@ -3,7 +3,10 @@
 A :class:`CrawlSession` packages a fetcher together with the vantage point
 (VPN exit) it crawls from, plus robots handling and a virtual clock.  The
 LangCrUX crawler creates one session per country, mirroring the paper's
-per-country VPN configuration.
+per-country VPN configuration.  :meth:`CrawlSession.allowed` is the crawl's
+only robots.txt check: each host's robots.txt is fetched once per session
+through the same fetcher, and :attr:`CrawlSession.respect_robots` is the
+only switch for it.
 
 Both fetch methods, :meth:`CrawlSession.fetch` and
 :meth:`CrawlSession.allowed`, are ``async`` and run on the caller's event

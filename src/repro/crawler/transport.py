@@ -5,11 +5,16 @@ protocol and an actual network socket lives here, as a stack of small,
 independently testable layers that compose around any base transport::
 
     CachingTransport          on-disk crawl cache (re-runs skip the network)
-      RetryingTransport       exponential backoff + deterministic jitter
-        PoliteTransport       per-host token bucket, concurrency cap, robots
-          InstrumentedTransport   counts what actually reaches the wire
-            HttpAsyncTransport    real HTTP/1.1 with connection pooling
-            (or SimulatedTransport over the synthetic web)
+      PoliteTransport         per-host token bucket and concurrency cap
+        InstrumentedTransport     counts what actually reaches the wire
+          HttpAsyncTransport      real HTTP/1.1 with connection pooling
+          (or SimulatedTransport over the synthetic web)
+
+Retries and robots.txt are not layers of the stack: the
+:class:`~repro.crawler.fetcher.Fetcher` above it is the crawl's one retry
+loop (so a retried fetch goes through the cache again, and a transient
+failure is never cached), and the
+:class:`~repro.crawler.session.CrawlSession` is its one robots check.
 
 Every layer is ``async``; a crawl drives the stack from one event loop per
 unit of work (a country shard or a selection window), so the worker
@@ -25,15 +30,7 @@ threads :class:`HttpAsyncTransport` offloads to live as long as the unit.
   policy belongs to the fetcher, the same place it lives for the simulated
   transport, so both paths share one implementation.
 * :class:`PoliteTransport` enforces crawl politeness *below* the fetcher:
-  a per-host token bucket (optionally tightened by the host's
-  ``Crawl-delay``), a per-host concurrency cap, and robots.txt enforcement
-  through :mod:`repro.crawler.robots` with an expiring
-  :class:`~repro.crawler.robots.RobotsCache`.
-* :class:`RetryingTransport` retries transient failures with exponential
-  backoff whose jitter draws from the same ``stable_seed(seed, "transport",
-  country, host)`` per-host RNG split the simulated transport uses, so a
-  retry schedule — like everything else in the pipeline — is a pure
-  function of the configuration.
+  a per-host token bucket and a per-host concurrency cap.
 * :class:`CachingTransport` gives any transport an on-disk crawl cache:
   response bodies in a content-addressed store written with the
   temp-file/``os.replace`` pattern of
@@ -61,7 +58,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
-import random
 
 from repro.crawler.fetcher import AsyncTransport, FetchError
 from repro.crawler.http import (
@@ -76,12 +72,7 @@ from repro.crawler.http import (
     parse_charset,
 )
 from repro.crawler.metrics import TransportMetrics
-from repro.crawler.robots import RobotsCache, RobotsPolicy, parse_robots_txt
 from repro.obs import trace as obs_trace
-
-
-class RobotsDisallowedError(FetchError):
-    """Raised when the politeness layer refuses a robots-disallowed fetch."""
 
 
 # -- the wire transport --------------------------------------------------------------
@@ -272,7 +263,8 @@ class InstrumentedTransport:
     Sits directly above the base transport, below the caching layer, so
     ``metrics.network_requests`` is exactly the number of fetches the crawl
     cache did *not* absorb — the number the cache-effectiveness acceptance
-    check pins at zero on a warm re-run.
+    check pins at zero on a warm re-run.  ``metrics.network_errors``
+    counts the sends that raised instead of returning a response.
     """
 
     def __init__(self, inner: AsyncTransport, metrics: TransportMetrics) -> None:
@@ -283,14 +275,20 @@ class InstrumentedTransport:
         self.metrics.add("network_requests")
         tracer = obs_trace.active()
         if tracer is None:
-            return await self.inner.send(request)
+            try:
+                return await self.inner.send(request)
+            except Exception:
+                self.metrics.add("network_errors")
+                raise
         # Detached: concurrent sends interleave on one event loop, so
         # stack (LIFO) nesting would mis-parent siblings.
         span = tracer.start_span("transport.request",
                                  {"url": str(request.url)}, detached=True)
         try:
             response = await self.inner.send(request)
-        except BaseException:
+        except BaseException as error:
+            if isinstance(error, Exception):  # not a cancellation
+                self.metrics.add("network_errors")
             span.attrs["error"] = True
             raise
         else:
@@ -301,17 +299,6 @@ class InstrumentedTransport:
 
 
 # -- politeness ---------------------------------------------------------------------
-
-
-async def _sleep(hook: Callable[[float], "asyncio.Future | None"] | None,
-                 seconds: float) -> None:
-    """Wait ``seconds`` through an injected ``hook`` (tests) or asyncio."""
-    if hook is None:
-        await asyncio.sleep(seconds)
-        return
-    result = hook(seconds)
-    if asyncio.iscoroutine(result) or isinstance(result, asyncio.Future):
-        await result
 
 
 class _TokenBucket:
@@ -341,21 +328,13 @@ class _TokenBucket:
 class PoliteTransport:
     """Per-host politeness around any :class:`AsyncTransport`.
 
-    Three independent behaviours, each optional:
+    Two independent behaviours, each optional:
 
     * **Rate limiting** — a token bucket per host, ``rate_per_host``
-      requests/second with a burst of ``burst``.  A host whose robots.txt
-      declares a ``Crawl-delay`` larger than the configured interval gets
-      its bucket slowed to that delay.
+      requests/second with a burst of ``burst``.
     * **Concurrency caps** — at most ``max_per_host`` requests in flight
       per host (batched crawls fetch one origin's pages sequentially, but
       nothing stops two windows from hitting one host).
-    * **robots.txt enforcement** — fetches ``/robots.txt`` once per host
-      through the same limits, caches the parsed policy in an expiring
-      :class:`~repro.crawler.robots.RobotsCache`, and raises
-      :class:`RobotsDisallowedError` for disallowed paths.  Off by default
-      because the crawl session already enforces robots at the application
-      layer; turn it on when using the transport stack bare.
 
     The clock and sleep hooks are injectable so tests drive waiting
     virtually; production uses monotonic time and :func:`asyncio.sleep`.
@@ -364,9 +343,6 @@ class PoliteTransport:
     def __init__(self, inner: AsyncTransport, *,
                  rate_per_host: float | None = None, burst: float = 1.0,
                  max_per_host: int | None = None,
-                 respect_robots: bool = False,
-                 robots_max_age_s: float | None = 3600.0,
-                 user_agent: str = "LangCruxBot/1.0",
                  metrics: TransportMetrics | None = None,
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], "asyncio.Future | None"] | None = None) -> None:
@@ -378,13 +354,10 @@ class PoliteTransport:
         self.rate_per_host = rate_per_host
         self.burst = burst
         self.max_per_host = max_per_host
-        self.respect_robots = respect_robots
-        self.user_agent = user_agent
         self.metrics = metrics
         self._clock = clock
         self._sleep = sleep
         self._buckets: dict[str, _TokenBucket] = {}
-        self._robots = RobotsCache(max_age_s=robots_max_age_s, clock=clock)
         # Semaphores are asyncio primitives and must not leak across event
         # loops (each crawl window runs its own loop), so the per-host
         # entry records which loop it belongs to and is rebuilt whenever a
@@ -396,7 +369,12 @@ class PoliteTransport:
             return
         if self.metrics is not None:
             self.metrics.add("rate_limit_wait_s", seconds)
-        await _sleep(self._sleep, seconds)
+        if self._sleep is None:
+            await asyncio.sleep(seconds)
+            return
+        result = self._sleep(seconds)
+        if asyncio.iscoroutine(result) or isinstance(result, asyncio.Future):
+            await result
 
     def _bucket_for(self, host: str) -> _TokenBucket | None:
         if self.rate_per_host is None:
@@ -417,15 +395,7 @@ class PoliteTransport:
             self._semaphores[host] = entry
         return entry[1]
 
-    def _apply_crawl_delay(self, host: str, policy: RobotsPolicy) -> None:
-        delay = policy.crawl_delay(self.user_agent)
-        if delay is None or delay <= 0 or self.rate_per_host is None:
-            return
-        bucket = self._bucket_for(host)
-        if bucket is not None and 1.0 / delay < bucket.rate:
-            bucket.rate = 1.0 / delay
-
-    async def _through_limits(self, request: Request) -> Response:
+    async def send(self, request: Request) -> Response:
         host = request.url.host
         bucket = self._bucket_for(host)
         if bucket is not None:
@@ -435,126 +405,6 @@ class PoliteTransport:
             return await self.inner.send(request)
         async with semaphore:
             return await self.inner.send(request)
-
-    async def _policy_for(self, request: Request) -> RobotsPolicy:
-        host = request.url.host
-        policy = self._robots.get(host)
-        if policy is not None:
-            return policy
-        robots_request = Request(url=request.url.with_path("/robots.txt"),
-                                 headers=Headers({"user-agent": self.user_agent}),
-                                 client_country=request.client_country,
-                                 via_vpn=request.via_vpn)
-        try:
-            response = await self._through_limits(robots_request)
-            policy = parse_robots_txt(response.body) \
-                if response.ok and response.body else RobotsPolicy.allow_all()
-        except FetchError:
-            policy = RobotsPolicy.allow_all()
-        self._robots.put(host, policy)
-        self._apply_crawl_delay(host, policy)
-        return policy
-
-    async def send(self, request: Request) -> Response:
-        if self.respect_robots and request.url.path != "/robots.txt":
-            policy = await self._policy_for(request)
-            agent = request.headers.get("user-agent") or self.user_agent
-            if not policy.can_fetch(agent, request.url.path):
-                if self.metrics is not None:
-                    self.metrics.add("robots_denied")
-                raise RobotsDisallowedError(
-                    f"robots.txt disallows {request.url}", url=request.url)
-        return await self._through_limits(request)
-
-
-# -- retries ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Backoff policy of :class:`RetryingTransport`.
-
-    ``backoff_base_s * 2**attempt`` seconds before retry ``attempt``
-    (0-based), capped at ``backoff_max_s``, multiplied by a jitter factor
-    drawn uniformly from ``[0.5, 1.5)``.
-    """
-
-    max_retries: int = 3
-    backoff_base_s: float = 0.5
-    backoff_max_s: float = 30.0
-    retry_statuses: frozenset[int] = RETRYABLE_STATUS_CODES
-
-    def backoff_s(self, attempt: int, rng: random.Random | None) -> float:
-        if self.backoff_base_s <= 0:
-            return 0.0
-        delay = min(self.backoff_base_s * (2 ** attempt), self.backoff_max_s)
-        if rng is not None:
-            delay *= 0.5 + rng.random()
-        return delay
-
-
-class RetryingTransport:
-    """Retries transient failures with deterministic exponential backoff.
-
-    Retryable HTTP statuses *and* transport-level :class:`FetchError`\\ s
-    (socket errors, timeouts) are retried up to ``policy.max_retries``
-    times.  The jitter RNG is split per host through ``rng_factory`` — the
-    pipeline passes the same ``stable_seed(seed, "transport", country,
-    host)`` splitter the simulated transport uses — so the retry schedule
-    of one host is a pure function of the configuration, independent of
-    what other hosts are doing on the same loop.
-    """
-
-    def __init__(self, inner: AsyncTransport, policy: RetryPolicy | None = None, *,
-                 rng_factory: Callable[[str], random.Random] | None = None,
-                 metrics: TransportMetrics | None = None,
-                 sleep: Callable[[float], "asyncio.Future | None"] | None = None) -> None:
-        self.inner = inner
-        self.policy = policy or RetryPolicy()
-        self.rng_factory = rng_factory
-        self.metrics = metrics
-        self._sleep = sleep
-        self._rngs: dict[str, random.Random] = {}
-        self._lock = threading.Lock()
-
-    def _rng_for(self, host: str) -> random.Random | None:
-        if self.rng_factory is None:
-            return None
-        with self._lock:
-            rng = self._rngs.get(host)
-            if rng is None:
-                rng = self._rngs[host] = self.rng_factory(host)
-            return rng
-
-    async def _backoff(self, attempt: int, host: str) -> None:
-        delay = self.policy.backoff_s(attempt, self._rng_for(host))
-        if self.metrics is not None:
-            self.metrics.add("retries")
-            self.metrics.add("retry_wait_s", delay)
-        obs_trace.event("transport.retry",
-                        {"host": host, "attempt": attempt,
-                         "wait_s": round(delay, 4)})
-        if delay > 0:
-            await _sleep(self._sleep, delay)
-
-    async def send(self, request: Request) -> Response:
-        host = request.url.host
-        for attempt in range(self.policy.max_retries + 1):
-            last_attempt = attempt == self.policy.max_retries
-            try:
-                response = await self.inner.send(request)
-            except RobotsDisallowedError:
-                raise  # a policy decision, not a transient failure
-            except FetchError:
-                if last_attempt:
-                    raise
-                await self._backoff(attempt, host)
-                continue
-            if response.status in self.policy.retry_statuses and not last_attempt:
-                await self._backoff(attempt, host)
-                continue
-            return response
-        raise AssertionError("unreachable")  # pragma: no cover
 
 
 # -- the on-disk crawl cache --------------------------------------------------------
@@ -976,22 +826,17 @@ class TransportStack:
 
 def build_transport_stack(base: AsyncTransport, *,
                           metrics: TransportMetrics | None = None,
-                          retry: RetryPolicy | None = None,
-                          rng_factory: Callable[[str], random.Random] | None = None,
                           rate_per_host: float | None = None,
                           burst: float = 1.0,
                           max_per_host: int | None = None,
-                          respect_robots: bool = False,
-                          user_agent: str = "LangCruxBot/1.0",
                           cache_dir: str | Path | None = None,
                           refresh_cache: bool = False,
                           cache_fsync: str = "close") -> TransportStack:
     """Compose the transport layers around ``base``.
 
-    Bottom-up: ``base`` → instrumentation → politeness (when rate limiting,
-    concurrency caps or robots enforcement are requested) → retries (when a
-    ``retry`` policy is given) → crawl cache (when ``cache_dir`` is given).
-    The cache sits on top so a hit skips politeness waits and retries
+    Bottom-up: ``base`` → instrumentation → politeness (when rate limiting
+    or concurrency caps are requested) → crawl cache (when ``cache_dir`` is
+    given).  The cache sits on top so a hit skips politeness waits
     entirely — a replayed fetch costs no wall-clock and no tokens.
     """
     stack_metrics = metrics if metrics is not None else TransportMetrics()
@@ -1002,14 +847,10 @@ def build_transport_stack(base: AsyncTransport, *,
     if getattr(base, "metrics", False) is None:
         base.metrics = stack_metrics  # adopt the stack's shared counters
     transport: AsyncTransport = InstrumentedTransport(base, stack_metrics)
-    if rate_per_host is not None or max_per_host is not None or respect_robots:
+    if rate_per_host is not None or max_per_host is not None:
         transport = PoliteTransport(transport, rate_per_host=rate_per_host,
                                     burst=burst, max_per_host=max_per_host,
-                                    respect_robots=respect_robots,
-                                    user_agent=user_agent, metrics=stack_metrics)
-    if retry is not None:
-        transport = RetryingTransport(transport, retry, rng_factory=rng_factory,
-                                      metrics=stack_metrics)
+                                    metrics=stack_metrics)
     if cache_dir is not None:
         caching = CachingTransport(transport, cache_dir, metrics=stack_metrics,
                                    refresh=refresh_cache, fsync=cache_fsync)

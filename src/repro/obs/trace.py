@@ -29,7 +29,7 @@ written.  Record schema (``"schema": 1``)::
      "name": "window", "proc": "host:pid", "ts": <start, time.time()>,
      "dur_s": 0.1234, "attrs": {...}}
     {"schema": 1, "kind": "event", "trace": ..., "span": <enclosing>,
-     "name": "transport.retry", "proc": "host:pid", "ts": ..., "attrs": {...}}
+     "name": "transport.cache_hit", "proc": "host:pid", "ts": ..., "attrs": {...}}
 """
 
 from __future__ import annotations

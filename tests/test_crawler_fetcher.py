@@ -57,17 +57,21 @@ class TestSimulatedTransport:
 
 
 class _ScriptedTransport:
-    """A transport returning a scripted sequence of responses."""
+    """A transport answering from a scripted sequence, repeating the last.
 
-    def __init__(self, responses: list[Response]) -> None:
+    A :class:`FetchError` in the script is raised instead of returned.
+    """
+
+    def __init__(self, responses: list[Response | FetchError]) -> None:
         self.responses = list(responses)
         self.sent: list[Request] = []
 
     async def send(self, request: Request) -> Response:
         self.sent.append(request)
-        if len(self.responses) > 1:
-            return self.responses.pop(0)
-        return self.responses[0]
+        answer = self.responses.pop(0) if len(self.responses) > 1 else self.responses[0]
+        if isinstance(answer, FetchError):
+            raise answer
+        return answer
 
 
 def _resp(url: str, status: int, location: str | None = None) -> Response:
@@ -95,6 +99,26 @@ class TestFetcherRetries:
         response = _run(fetcher.fetch("https://a.example/"))
         assert response.status == 503
         assert fetcher.stats["failures"] == 1
+
+    def test_fetch_error_retried_then_succeeds(self) -> None:
+        transport = _ScriptedTransport([
+            FetchError("connection refused"),
+            _resp("https://a.example/", 503),
+            _resp("https://a.example/", 200),
+        ])
+        fetcher = Fetcher(transport, FetcherConfig(max_retries=3))
+        response = _run(fetcher.fetch("https://a.example/"))
+        assert response.ok
+        assert fetcher.stats["retries"] == 2
+        assert len(transport.sent) == 3
+
+    def test_exhausted_fetch_error_is_reraised(self) -> None:
+        transport = _ScriptedTransport([FetchError("connection refused")])
+        fetcher = Fetcher(transport, FetcherConfig(max_retries=2))
+        with pytest.raises(FetchError, match="connection refused"):
+            _run(fetcher.fetch("https://a.example/"))
+        assert len(transport.sent) == 3  # max_retries + 1 sends
+        assert fetcher.stats["retries"] == 2
 
     def test_non_retryable_error_not_retried(self) -> None:
         transport = _ScriptedTransport([_resp("https://a.example/", 404)])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crawler.robots import RobotsCache, RobotsPolicy, parse_robots_txt
+from repro.crawler.robots import RobotsPolicy, parse_robots_txt
 
 
 SIMPLE = """
@@ -154,52 +154,3 @@ class TestCrawlDelayParsing:
             assert policy.crawl_delay("bot") is None
             assert not policy.can_fetch("bot", "/x/1")  # group still parsed
 
-
-class TestRobotsCache:
-    def _cache(self, max_age: float | None = 100.0):
-        clock = {"now": 0.0}
-        cache = RobotsCache(max_age_s=max_age, clock=lambda: clock["now"])
-        return cache, clock
-
-    def test_roundtrip_within_max_age(self) -> None:
-        cache, clock = self._cache()
-        policy = parse_robots_txt("User-agent: *\nDisallow: /x/")
-        cache.put("example.com", policy)
-        clock["now"] = 99.0
-        assert cache.get("example.com") is policy
-        assert "example.com" in cache
-
-    def test_entries_expire_at_max_age(self) -> None:
-        cache, clock = self._cache()
-        cache.put("example.com", RobotsPolicy.allow_all())
-        clock["now"] = 100.0
-        assert cache.get("example.com") is None
-        assert len(cache) == 0  # expired entries are evicted, not retained
-
-    def test_refresh_restamps_the_entry(self) -> None:
-        cache, clock = self._cache()
-        cache.put("example.com", RobotsPolicy.allow_all())
-        clock["now"] = 90.0
-        cache.put("example.com", RobotsPolicy.allow_all())  # re-fetch
-        clock["now"] = 150.0  # 60s after the refresh: still fresh
-        assert cache.get("example.com") is not None
-
-    def test_none_max_age_never_expires(self) -> None:
-        cache, clock = self._cache(max_age=None)
-        cache.put("example.com", RobotsPolicy.allow_all())
-        clock["now"] = 1e9
-        assert cache.get("example.com") is not None
-
-    def test_invalidate_drops_one_host(self) -> None:
-        cache, _ = self._cache()
-        cache.put("a.com", RobotsPolicy.allow_all())
-        cache.put("b.com", RobotsPolicy.allow_all())
-        cache.invalidate("a.com")
-        cache.invalidate("never-stored.com")  # no-op
-        assert cache.get("a.com") is None
-        assert cache.get("b.com") is not None
-
-    def test_rejects_non_positive_max_age(self) -> None:
-        for bad in (0, -1.0):
-            with pytest.raises(ValueError):
-                RobotsCache(max_age_s=bad)

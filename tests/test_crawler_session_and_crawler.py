@@ -9,6 +9,7 @@ import pytest
 
 from repro.crawler.crawler import CrawlerConfig, LangCruxCrawler
 from repro.crawler.fetcher import Fetcher, SimulatedTransport, gather_bounded
+from repro.crawler.http import Headers, Request, Response
 from repro.crawler.session import CrawlSession, VirtualClock
 from repro.crawler.vpn import VantagePoint, VPNManager
 from repro.webgen.crux import CruxEntry, build_crux_table
@@ -31,6 +32,27 @@ def _session(web, country: str | None = "kr", failure_rate: float = 0.0) -> Craw
     transport = SimulatedTransport(web, failure_rate=failure_rate, rng=random.Random(1))
     vantage = VPNManager().vantage_for(country) if country else VantagePoint.cloud()
     return CrawlSession(fetcher=Fetcher(transport), vantage=vantage)
+
+
+class _LinkedPages:
+    """A transport serving fixed HTML per path of one host (404 elsewhere)."""
+
+    def __init__(self, pages: dict[str, str]) -> None:
+        self.pages = pages
+        self.sent: list[str] = []
+
+    async def send(self, request: Request) -> Response:
+        self.sent.append(request.url.path)
+        html = self.pages.get(request.url.path)
+        if html is None:
+            return Response(url=request.url, status=404)
+        return Response(url=request.url, status=200,
+                        headers=Headers({"content-type": "text/html"}),
+                        body=f"<html><body>{html}</body></html>")
+
+
+def _links(*hrefs: str) -> str:
+    return "".join(f'<a href="{href}">{href}</a>' for href in hrefs)
 
 
 class TestVirtualClock:
@@ -97,12 +119,46 @@ class TestLangCruxCrawler:
         site = next(s for s in sites if len(s.page_paths) > 1 and not s.blocks_vpn)
         crawler = LangCruxCrawler(
             _session(web),
-            CrawlerConfig(max_pages_per_site=3, follow_links=True, politeness_delay_s=0.0),
+            CrawlerConfig(max_pages_per_site=3, follow_links=True),
         )
         record = asyncio.run(crawler.crawl_origin(CruxEntry(site.domain, 7, "kr"), "ko"))
         assert len(record.pages) > 1
         hosts = {page.url.split("/")[2] for page in record.pages}
         assert hosts == {site.domain}
+
+    def test_multi_page_crawl_follows_document_order_once(self) -> None:
+        # The homepage links back to itself, repeats a link and links off
+        # the origin; /a links to pages already queued and to a new one.
+        pages = {
+            "/": _links("/", "/a", "https://other.example/x", "/b", "/a", "/c"),
+            "/a": _links("/", "/b", "/d"),
+            "/b": _links("/c", "/e"),
+            "/c": _links("/a"),
+            "/d": "",
+        }
+        transport = _LinkedPages(pages)
+        session = CrawlSession(fetcher=Fetcher(transport), vantage=VantagePoint.cloud())
+        crawler = LangCruxCrawler(session, CrawlerConfig(max_pages_per_site=4,
+                                                         follow_links=True))
+        record = asyncio.run(crawler.crawl_origin(CruxEntry("site.example", 1, "kr"), "ko"))
+        assert [page.url for page in record.pages] == [
+            "https://site.example/", "https://site.example/a",
+            "https://site.example/b", "https://site.example/c"]
+        assert transport.sent == ["/robots.txt", "/", "/a", "/b", "/c"]
+
+    def test_multi_page_crawls_of_synthetic_sites_never_repeat_a_page(self, web, sites) -> None:
+        crawler = LangCruxCrawler(_session(web), CrawlerConfig(max_pages_per_site=4,
+                                                               follow_links=True))
+        crawled = 0
+        for site in sites:
+            record = asyncio.run(crawler.crawl_origin(CruxEntry(site.domain, 1, "kr"), "ko"))
+            urls = [page.url for page in record.pages]
+            if not urls:
+                continue  # robots.txt disallows the whole site
+            assert urls[0] == f"https://{site.domain}/"
+            assert len(urls) == len(set(urls))
+            crawled += len(urls) > 1
+        assert crawled, "expected some synthetic site to have subpages"
 
     def test_crawl_many_yields_one_record_per_entry(self, web, sites) -> None:
         table = build_crux_table(sites)

@@ -6,14 +6,13 @@ import asyncio
 import gc
 import json
 import pickle
-import random
 import shutil
 import threading
 import tracemalloc
 
 import pytest
 
-from repro.crawler.fetcher import Fetcher, FetchError, SimulatedTransport
+from repro.crawler.fetcher import Fetcher, FetcherConfig, FetchError, SimulatedTransport
 from repro.crawler.http import Headers, Request, Response, URL
 from repro.crawler.metrics import TransportMetrics
 from repro.crawler.transport import (
@@ -21,16 +20,13 @@ from repro.crawler.transport import (
     HttpAsyncTransport,
     InstrumentedTransport,
     PoliteTransport,
-    RetryPolicy,
-    RetryingTransport,
-    RobotsDisallowedError,
     TransportStack,
     build_transport_stack,
     parse_netloc,
 )
 from repro.webgen.profiles import get_profile
 from repro.webgen.server import LocalSiteServer, SyntheticWeb
-from repro.webgen.sitegen import SiteGenerator, stable_seed
+from repro.webgen.sitegen import SiteGenerator
 
 
 @pytest.fixture(scope="module")
@@ -267,124 +263,28 @@ class TestPoliteTransport:
             _send(polite, _request("two.example"))
         assert len(polite._semaphores) == 2
 
-    def test_robots_disallow_raises_and_counts(self) -> None:
-        robots = Response(url=URL.parse("https://one.example/robots.txt"),
-                          status=200, body="User-agent: *\nDisallow: /private/")
-        inner = ScriptedTransport({"https://one.example/robots.txt": [robots]})
-        metrics = TransportMetrics()
-        polite = PoliteTransport(inner, respect_robots=True, metrics=metrics)
-        assert _send(polite, _request("one.example", "/public")).status == 200
-        with pytest.raises(RobotsDisallowedError):
-            _send(polite, _request("one.example", "/private/x"))
-        assert metrics.robots_denied == 1
-        # robots.txt was fetched exactly once; the policy is cached.
-        assert sum(1 for request in inner.sent
-                   if request.url.path == "/robots.txt") == 1
-
-    def test_robots_cache_expires_and_refetches(self) -> None:
-        clock = {"now": 0.0}
-        allowing = Response(url=URL.parse("https://one.example/robots.txt"),
-                            status=200, body="User-agent: *\nDisallow:")
-        blocking = Response(url=URL.parse("https://one.example/robots.txt"),
-                            status=200, body="User-agent: *\nDisallow: /")
-        inner = ScriptedTransport(
-            {"https://one.example/robots.txt": [allowing, blocking]})
-        polite = PoliteTransport(inner, respect_robots=True,
-                                 robots_max_age_s=10.0,
-                                 clock=lambda: clock["now"])
-        assert _send(polite, _request("one.example", "/page")).status == 200
-        clock["now"] = 11.0  # past max age: the next send re-fetches robots
-        with pytest.raises(RobotsDisallowedError):
-            _send(polite, _request("one.example", "/page"))
-        assert sum(1 for request in inner.sent
-                   if request.url.path == "/robots.txt") == 2
-
-    def test_crawl_delay_tightens_the_bucket(self) -> None:
-        clock = {"now": 0.0}
-        waits: list[float] = []
-
-        async def fake_sleep(seconds: float) -> None:
-            waits.append(seconds)
-            clock["now"] += seconds
-
-        robots = Response(url=URL.parse("https://one.example/robots.txt"),
-                          status=200,
-                          body="User-agent: *\nDisallow:\nCrawl-delay: 4")
-        inner = ScriptedTransport({"https://one.example/robots.txt": [robots]})
-        polite = PoliteTransport(inner, rate_per_host=10.0, respect_robots=True,
-                                 clock=lambda: clock["now"], sleep=fake_sleep)
-        _send(polite, _request("one.example", "/a"))
-        _send(polite, _request("one.example", "/b"))
-        # The second page fetch waits ~4s (crawl-delay), not 0.1s (rate).
-        assert waits, "expected the crawl-delay to throttle the second fetch"
-        assert max(waits) == pytest.approx(4.0, rel=0.2)
-
 
 class TestRetryingTransport:
-    def _rng_factory(self, seed: int = 5):
-        return lambda host: random.Random(stable_seed(seed, "transport", "bd", host))
+    """Retries over a transport stack; the Fetcher is the one retry layer."""
 
     def test_retries_transient_status_then_succeeds(self) -> None:
         url = "https://one.example/"
         flaky = [Response(url=URL.parse(url), status=503),
                  Response(url=URL.parse(url), status=200, body="ok")]
         inner = ScriptedTransport({url: flaky})
-        metrics = TransportMetrics()
-        retrying = RetryingTransport(inner, RetryPolicy(backoff_base_s=0.0),
-                                     metrics=metrics)
-        response = _send(retrying, _request("one.example"))
+        fetcher = Fetcher(inner)
+        response = asyncio.run(fetcher.fetch(url, client_country="bd"))
         assert response.status == 200
-        assert metrics.retries == 1
+        assert fetcher.stats["retries"] == 1
+        assert len(inner.sent) == 2
 
     def test_exhausted_retries_return_last_response(self) -> None:
         url = "https://one.example/"
         inner = ScriptedTransport(
             {url: [Response(url=URL.parse(url), status=503) for _ in range(10)]})
-        retrying = RetryingTransport(inner, RetryPolicy(max_retries=2,
-                                                        backoff_base_s=0.0))
-        assert _send(retrying, _request("one.example")).status == 503
+        fetcher = Fetcher(inner, FetcherConfig(max_retries=2))
+        assert asyncio.run(fetcher.fetch(url)).status == 503
         assert len(inner.sent) == 3  # initial + 2 retries
-
-    def test_fetch_errors_are_retried(self) -> None:
-        url = "https://one.example/"
-        inner = ScriptedTransport(
-            {url: [FetchError("boom"),
-                   Response(url=URL.parse(url), status=200)]})
-        retrying = RetryingTransport(inner, RetryPolicy(backoff_base_s=0.0))
-        assert _send(retrying, _request("one.example")).status == 200
-
-    def test_robots_denial_is_not_retried(self) -> None:
-        url = "https://one.example/"
-        inner = ScriptedTransport({url: [RobotsDisallowedError("no")]})
-        retrying = RetryingTransport(inner, RetryPolicy(backoff_base_s=0.0))
-        with pytest.raises(RobotsDisallowedError):
-            _send(retrying, _request("one.example"))
-        assert len(inner.sent) == 1
-
-    def test_backoff_jitter_is_deterministic_per_host(self) -> None:
-        def schedule() -> list[float]:
-            url = "https://one.example/"
-            inner = ScriptedTransport(
-                {url: [Response(url=URL.parse(url), status=503)
-                       for _ in range(4)]})
-            waits: list[float] = []
-
-            async def fake_sleep(seconds: float) -> None:
-                waits.append(seconds)
-
-            retrying = RetryingTransport(
-                inner, RetryPolicy(max_retries=3, backoff_base_s=0.25),
-                rng_factory=self._rng_factory(), sleep=fake_sleep)
-            _send(retrying, _request("one.example"))
-            return waits
-
-        first, second = schedule(), schedule()
-        assert first == second  # same stable_seed split → same jitter draws
-        assert len(first) == 3
-        # Exponential shape with jitter in [0.5, 1.5) of the base schedule.
-        for attempt, wait in enumerate(first):
-            base = 0.25 * (2 ** attempt)
-            assert base * 0.5 <= wait < base * 1.5
 
 
 class TestCachingTransport:
@@ -681,13 +581,13 @@ class TestTransportMetrics:
     def test_merge_sums_counters(self) -> None:
         one, two = TransportMetrics(), TransportMetrics()
         one.add("network_requests")
-        one.add("retry_wait_s", 1.5)
+        one.add("rate_limit_wait_s", 1.5)
         two.add("network_requests", 2)
         two.add("cache_hits", 3)
         one.merge(two)
         assert one.network_requests == 3
         assert one.cache_hits == 3
-        assert one.retry_wait_s == pytest.approx(1.5)
+        assert one.rate_limit_wait_s == pytest.approx(1.5)
 
     def test_pickles_across_process_boundaries(self) -> None:
         metrics = TransportMetrics()

@@ -188,14 +188,14 @@ class TestMetricsMergeRoundTrips:
         metrics = TransportMetrics()
         metrics.add("network_requests", 4)
         metrics.add("cache_hits", 2)
-        metrics.add("retry_wait_s", 0.75)
+        metrics.add("rate_limit_wait_s", 0.75)
         shipped = pickle.loads(pickle.dumps(metrics))
         assert shipped.as_dict() == metrics.as_dict()
         other = TransportMetrics()
         other.add("network_requests", 6)
-        other.add("retry_wait_s", 0.25)
+        other.add("rate_limit_wait_s", 0.25)
         shipped.merge(other)
         assert shipped.network_requests == 10
         assert shipped.cache_hits == 2
-        assert shipped.retry_wait_s == 1.0
+        assert shipped.rate_limit_wait_s == 1.0
         assert pickle.loads(pickle.dumps(shipped)).network_requests == 10

@@ -1,10 +1,9 @@
-"""Property-based tests for the HTML parser, URL handling and the frontier."""
+"""Property-based tests for the HTML parser and URL handling."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.crawler.frontier import Frontier, FrontierEntry
 from repro.crawler.http import URL
 from repro.html.parser import parse_html
 from repro.html.visibility import extract_visible_text
@@ -81,32 +80,3 @@ class TestURLProperties:
         joined = URL.join(base_url, reference or "/")
         assert joined.host == host
 
-
-# -- Frontier properties ---------------------------------------------------------------
-
-entries_strategy = st.lists(
-    st.tuples(hostnames, paths, st.integers(min_value=0, max_value=1000)),
-    max_size=40,
-)
-
-
-class TestFrontierProperties:
-    @settings(max_examples=50)
-    @given(entries_strategy)
-    def test_each_url_dispatched_at_most_once(self, raw_entries) -> None:
-        frontier = Frontier(default_delay=0.0)
-        for host, path, priority in raw_entries:
-            frontier.add(FrontierEntry(url=URL.parse(f"https://{host}{path or '/'}"),
-                                       priority=priority))
-        dispatched = [str(entry.url) for entry in frontier.drain()]
-        assert len(dispatched) == len(set(dispatched))
-
-    @settings(max_examples=50)
-    @given(entries_strategy)
-    def test_drain_returns_every_unique_url(self, raw_entries) -> None:
-        frontier = Frontier(default_delay=0.0)
-        unique = {f"https://{host}{path or '/'}" for host, path, _ in raw_entries}
-        for host, path, priority in raw_entries:
-            frontier.add(FrontierEntry(url=URL.parse(f"https://{host}{path or '/'}"),
-                                       priority=priority))
-        assert {str(entry.url) for entry in frontier.drain()} == unique
