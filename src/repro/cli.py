@@ -44,7 +44,8 @@ Four subcommands cover the common workflows:
 
 ``langcrux cache-compact``
     Fold a crawl cache's accumulated per-writer manifests into one
-    compacted manifest and sweep orphaned body files.
+    compacted manifest, copy the bodies they reference into one pack and
+    delete the other packs (reclaiming orphaned body bytes).
 
 ``langcrux api``
     Serve a built dataset as a JSON analytics API
@@ -260,12 +261,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compact = subparsers.add_parser(
         "cache-compact",
-        help="fold a crawl cache's manifests into one and sweep orphaned bodies")
+        help="fold a crawl cache's manifests into one and repack its bodies")
     compact.add_argument("cache_dir", type=Path, metavar="DIR",
                          help="crawl-cache directory to compact (no readers or "
                               "writers may be active)")
     compact.add_argument("--no-sweep", action="store_true",
-                         help="fold manifests only; keep unreferenced body files")
+                         help="fold manifests only; keep every body pack as it is")
 
     analyze = subparsers.add_parser("analyze", help="print Table 2 style statistics")
     analyze.add_argument("dataset", type=Path, help="dataset JSONL produced by 'build'")

@@ -159,11 +159,12 @@ class PipelineConfig:
             (:class:`~repro.crawler.transport.CachingTransport`).  ``None``
             disables caching; with a directory, a re-run replays every
             completed fetch from disk and only fetches what is missing.
-        cache_fsync: Manifest durability policy of the crawl cache —
-            ``"close"`` (the default) fsyncs each writer's manifest once on
-            close; ``"entry"`` fsyncs every append, which distributed
+        cache_fsync: Durability policy of the crawl cache's body packs
+            and manifests — ``"close"`` (the default) fsyncs each writer's
+            pack, then its manifest, once on close; ``"entry"`` fsyncs the
+            pack and then the manifest on every store, which distributed
             workers use so a window declared complete cannot lose manifest
-            lines to a later crash.
+            lines, or the bodies they point at, to a later crash.
         rate_limit: Per-host request rate (requests/second) enforced by the
             politeness layer; ``None`` disables rate limiting.
         max_per_host: Per-host concurrent-request cap; ``None`` disables.

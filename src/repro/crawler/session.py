@@ -1,7 +1,7 @@
 """Crawl sessions bound to a vantage point.
 
 A :class:`CrawlSession` packages a fetcher together with the vantage point
-(VPN exit) it crawls from, plus robots handling and a virtual clock.  The
+(VPN exit) it crawls from, plus robots handling.  The
 LangCrUX crawler creates one session per country, mirroring the paper's
 per-country VPN configuration.  :meth:`CrawlSession.allowed` is the crawl's
 only robots.txt check: each host's robots.txt is fetched once per session
@@ -21,38 +21,12 @@ connections and cache handles when one is attached.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from repro.crawler.fetcher import Fetcher, FetchError
 from repro.crawler.http import Response, URL
 from repro.crawler.robots import RobotsPolicy, parse_robots_txt
 from repro.crawler.vpn import VantagePoint
-
-
-class VirtualClock:
-    """A simulated clock advanced by recorded latencies instead of sleeping.
-
-    Advancing is thread-safe so callers on several threads sharing one
-    session can account latencies without racing the counter.
-    """
-
-    def __init__(self) -> None:
-        self._now = 0.0
-        self._lock = threading.Lock()
-
-    def __call__(self) -> float:
-        return self._now
-
-    def advance(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("cannot advance the clock backwards")
-        with self._lock:
-            self._now += seconds
-
-    @property
-    def now(self) -> float:
-        return self._now
 
 
 @dataclass
@@ -62,7 +36,6 @@ class CrawlSession:
     Attributes:
         fetcher: The underlying fetcher.
         vantage: The VPN exit (or cloud vantage) this session crawls from.
-        clock: The session's virtual clock, advanced by response latencies.
         respect_robots: Whether to consult robots.txt before page fetches.
         transport_stack: The stack the fetcher sends through, if any, kept
             so :meth:`close` can release its resources (pooled connections,
@@ -71,7 +44,6 @@ class CrawlSession:
 
     fetcher: Fetcher
     vantage: VantagePoint
-    clock: VirtualClock = field(default_factory=VirtualClock)
     respect_robots: bool = True
     transport_stack: object | None = None
     _robots_cache: dict[str, RobotsPolicy] = field(default_factory=dict)
@@ -112,9 +84,6 @@ class CrawlSession:
     # -- fetch -------------------------------------------------------------------
 
     async def fetch(self, url: URL | str) -> Response:
-        """Fetch ``url`` from this session's vantage, advancing the clock."""
-        response = await self.fetcher.fetch(url,
-                                            client_country=self.vantage.country_code,
-                                            via_vpn=self.vantage.via_vpn)
-        self.clock.advance(response.elapsed_ms / 1000.0)
-        return response
+        """Fetch ``url`` from this session's vantage."""
+        return await self.fetcher.fetch(url, client_country=self.vantage.country_code,
+                                        via_vpn=self.vantage.via_vpn)

@@ -32,12 +32,11 @@ threads :class:`HttpAsyncTransport` offloads to live as long as the unit.
 * :class:`PoliteTransport` enforces crawl politeness *below* the fetcher:
   a per-host token bucket and a per-host concurrency cap.
 * :class:`CachingTransport` gives any transport an on-disk crawl cache:
-  response bodies in a content-addressed store written with the
-  temp-file/``os.replace`` pattern of
-  :class:`~repro.core.dataset.StreamingDatasetWriter`, response metadata in
-  per-writer JSONL manifests (append-only, so concurrent shard workers
-  never contend), which together make re-runs and crash-resumed runs skip
-  every already-fetched origin.
+  each writer appends response bodies to its own pack file and response
+  metadata, with each body's extent in that pack, to its own JSONL
+  manifest (append-only, so concurrent shard workers never contend; a
+  body is flushed before the line that points at it), which together make
+  re-runs and crash-resumed runs skip every already-fetched origin.
 
 :func:`build_transport_stack` assembles the layers; a shared
 :class:`~repro.crawler.metrics.TransportMetrics` instance threads through
@@ -52,6 +51,7 @@ import hashlib
 import http.client
 import json
 import os
+import shutil
 import tempfile
 import threading
 import time
@@ -425,6 +425,64 @@ def _dir_identity(path: Path) -> tuple[int, int] | None:
     return stat.st_dev, stat.st_ino
 
 
+def _read_extent(cache_dir: Path, entry: dict, readers: dict[str, int]) -> bytes | None:
+    """The body bytes ``entry`` locates, or ``None`` unless they read whole.
+
+    ``readers`` caches one read descriptor per pack; the caller closes them.
+    A legacy entry (no ``pack``), a missing pack and a short read are all
+    ``None``.
+    """
+    try:
+        pack, offset, length = entry["pack"], entry["offset"], entry["length"]
+        descriptor = readers.get(pack)
+        if descriptor is None:
+            descriptor = readers[pack] = os.open(cache_dir / pack, os.O_RDONLY)
+        data = os.pread(descriptor, length, offset)
+    except (KeyError, TypeError, ValueError, OSError):
+        return None
+    return data if len(data) == length else None
+
+
+class _AppendFile:
+    """One writer's own append-only file in the cache directory.
+
+    Created lazily with :func:`tempfile.mkstemp` on the first append, so a
+    writer that stores nothing leaves no file behind.
+    """
+
+    def __init__(self, directory: Path, prefix: str, suffix: str) -> None:
+        self.directory = directory
+        self.prefix = prefix
+        self.suffix = suffix
+        self.name = ""
+        self.inode = 0
+        self.size = 0
+        self._handle = None
+
+    def append(self, data: bytes, *, fsync: bool) -> int:
+        """Write and flush ``data`` (and fsync it if asked); return its offset."""
+        if self._handle is None:
+            descriptor, path = tempfile.mkstemp(dir=self.directory,
+                                                prefix=self.prefix, suffix=self.suffix)
+            self._handle = os.fdopen(descriptor, "wb")
+            self.name = os.path.basename(path)
+            self.inode = os.fstat(descriptor).st_ino
+        offset = self.size
+        self._handle.write(data)
+        self._handle.flush()
+        self.size += len(data)
+        if fsync:
+            os.fsync(self._handle.fileno())
+        return offset
+
+    def close(self) -> None:
+        """Fsync and close the file, if it was ever created."""
+        if self._handle is not None:
+            os.fsync(self._handle.fileno())
+            self._handle.close()
+            self._handle = None
+
+
 class _ManifestIndex:
     """A key → entry view over a cache directory's manifests.
 
@@ -434,29 +492,49 @@ class _ManifestIndex:
     each file's consumed offset.  Only complete lines are consumed: a
     concurrently flushed half-line stays pending and is read once its
     newline lands, so a rescan can never mis-parse a torn tail that a later
-    rescan would have understood.
+    rescan would have understood.  A manifest replaced under the same name
+    (compaction) is re-read from the start.
+
+    Besides the entries by key, the index maps each ``body_sha`` to an
+    entry locating that body, so a writer never appends a body the
+    directory already holds.
 
     One instance is shared per (process, directory) by
     :class:`CachingTransport`; all access is serialized on an internal
     lock, so transports on different threads can share it.
     """
 
-    def __init__(self, cache_dir: Path) -> None:
+    def __init__(self, cache_dir: Path, *, scan: bool = True) -> None:
         self.cache_dir = cache_dir
         self.identity = _dir_identity(cache_dir)
         self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
-        self._offsets: dict[str, int] = {}
-        with self._lock:
-            self._scan_locked()
+        self._bodies: dict[str, dict] = {}
+        self._offsets: dict[str, tuple[int, int]] = {}
+        if scan:
+            with self._lock:
+                self._scan_locked()
 
     def get(self, key: str) -> dict | None:
         with self._lock:
             return self._entries.get(key)
 
-    def put(self, key: str, entry: dict) -> None:
+    def body(self, body_sha: str) -> dict | None:
+        """An entry whose extent holds the body ``body_sha``, if any."""
         with self._lock:
-            self._entries[key] = entry
+            return self._bodies.get(body_sha)
+
+    def put(self, key: str, entry: dict, manifest: _AppendFile | None = None) -> None:
+        """Index ``entry``, which the writer of ``manifest`` just appended.
+
+        A writer indexes each of its lines as it appends it, so a rescan
+        starts past the end of the writer's own manifest instead of reading
+        those lines back.
+        """
+        with self._lock:
+            self._put_locked(key, entry)
+            if manifest is not None:
+                self._offsets[manifest.name] = (manifest.inode, manifest.size)
 
     def refresh_and_get(self, key: str) -> dict | None:
         """Rescan the directory for manifest growth, then look up ``key``."""
@@ -469,17 +547,30 @@ class _ManifestIndex:
         with self._lock:
             return dict(self._entries)
 
+    def _put_locked(self, key: str, entry: dict) -> None:
+        current = self._entries.get(key)
+        if current is not None and current.get("gen", 0) > entry.get("gen", 0):
+            return  # a re-store outranks the unreadable line it replaced
+        self._entries[key] = entry
+        if "pack" in entry:
+            self._bodies[entry.get("body_sha")] = entry
+
     def _scan_locked(self) -> None:
-        for manifest in sorted(self.cache_dir.glob("manifest-*.jsonl")):
-            name = manifest.name
-            offset = self._offsets.get(name, 0)
+        try:
+            names = sorted(name for name in os.listdir(self.cache_dir)
+                           if name.startswith("manifest-") and name.endswith(".jsonl"))
+        except OSError:
+            return  # the directory is gone
+        for name in names:
+            manifest = self.cache_dir / name
             try:
-                size = manifest.stat().st_size
+                stat = manifest.stat()
             except OSError:
-                continue  # deleted between glob and stat (e.g. compaction)
-            if size < offset:
-                offset = 0  # truncated/replaced (compaction); re-read it all
-            if size <= offset:
+                continue  # deleted between listing and stat (e.g. compaction)
+            inode, offset = self._offsets.get(name, (stat.st_ino, 0))
+            if inode != stat.st_ino or stat.st_size < offset:
+                offset = 0  # replaced (compaction); re-read it all
+            if stat.st_size <= offset:
                 continue
             try:
                 with manifest.open("rb") as handle:
@@ -490,7 +581,7 @@ class _ManifestIndex:
             complete = data.rfind(b"\n")
             if complete < 0:
                 continue  # nothing but a torn tail so far
-            self._offsets[name] = offset + complete + 1
+            self._offsets[name] = (stat.st_ino, offset + complete + 1)
             for line in data[:complete].split(b"\n"):
                 line = line.strip()
                 if not line:
@@ -500,7 +591,7 @@ class _ManifestIndex:
                 except (json.JSONDecodeError, UnicodeDecodeError):
                     continue  # torn interior line of a crashed writer
                 if isinstance(entry, dict) and "key" in entry:
-                    self._entries[entry["key"]] = entry
+                    self._put_locked(entry["key"], entry)
 
 
 class CachingTransport:
@@ -508,20 +599,26 @@ class CachingTransport:
 
     Layout under ``cache_dir``::
 
-        objects/<sha[:2]>/<sha>        response bodies, content-addressed
+        pack-<unique>.bin              response bodies, appended back to back
         manifest-<unique>.jsonl        response metadata, one JSON per line
 
-    Bodies are written with the temp-file + :func:`os.replace` pattern (the
-    same crash-safety idiom as
-    :class:`~repro.core.dataset.StreamingDatasetWriter`): a body file either
-    exists complete or not at all, and concurrent writers storing the same
-    content race benignly.  Manifests are append-only and *per writer* —
-    each :class:`CachingTransport` appends to its own uniquely named
-    manifest, so concurrent window workers (in-process or not) sharing
-    one cache directory never interleave writes; loading merges every
-    ``manifest-*.jsonl`` present, skipping torn trailing lines, which is
-    what makes a crash-interrupted crawl resumable: the next run replays
-    every completed fetch from disk and only fetches what is missing.
+    Each :class:`CachingTransport` that stores anything creates one pack
+    and one manifest of its own (lazily, with :func:`tempfile.mkstemp`), so
+    concurrent window workers (in-process or not) sharing one cache
+    directory never interleave writes.  A manifest line names its body's
+    ``body_sha`` and its extent — ``pack``, ``offset``, ``length`` — and is
+    written only after those bytes were written and flushed to the pack.
+    A body the directory already holds (robots.txt bodies repeat across
+    origins) is not written again: the new line points at the existing
+    extent.  Loading merges every ``manifest-*.jsonl`` present, skipping
+    torn trailing lines, which is what makes a crash-interrupted crawl
+    resumable: the next run replays every completed fetch from disk and
+    only fetches what is missing.  A hit reads its body with
+    :func:`os.pread` on a descriptor opened once per pack; a missing pack,
+    a short read or an entry without an extent (the body-per-file layout
+    of older caches) is a miss, re-fetched and stored anew under a higher
+    ``gen``, which outranks the unreadable line whatever order the
+    manifests load in, so the next run hits.
 
     Responses with retryable (transient) statuses are never cached, so a
     503 cannot shadow the success a retry would have seen.
@@ -544,17 +641,18 @@ class CachingTransport:
     (same rescan behaviour, no cross-instance sharing — the persistence
     tests use it to exercise the disk path).
 
-    ``fsync`` sets the manifest durability policy, mirroring
-    :class:`~repro.core.dataset.StreamingDatasetWriter`'s knob: ``"close"``
-    (the default) fsyncs the manifest once when the transport closes, so a
-    crash mid-run can persist content-addressed bodies whose manifest lines
-    were lost (warm re-runs re-fetch them; ``cache-compact`` sweeps them);
-    ``"entry"`` fsyncs after every append, bounding the loss to the torn
-    tail line — what distributed workers use, since their windows are
-    declared complete while the process keeps running.
+    ``fsync`` sets the durability policy of the pack and the manifest,
+    mirroring :class:`~repro.core.dataset.StreamingDatasetWriter`'s knob:
+    ``"close"`` (the default) fsyncs the pack, then the manifest, once when
+    the transport closes, so a crash mid-run can persist pack bytes whose
+    manifest lines were lost (warm re-runs re-fetch them;
+    ``cache-compact`` reclaims them); ``"entry"`` fsyncs the pack and then
+    the manifest on every store, bounding the loss to the torn tail line —
+    what distributed workers use, since their windows are declared
+    complete while the process keeps running.
     """
 
-    #: Accepted manifest ``fsync`` policies.
+    #: Accepted ``fsync`` policies.
     FSYNC_POLICIES = ("close", "entry")
 
     #: Per-process shared manifest indexes, one per resolved cache directory
@@ -574,20 +672,18 @@ class CachingTransport:
         self.metrics = metrics
         self.refresh = refresh
         self.fsync = fsync
-        self._objects = self.cache_dir / "objects"
-        self._objects.mkdir(parents=True, exist_ok=True)
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
         if refresh:
             # A refreshing transport deliberately ignores what is on disk
             # (and remembers only its own stores, privately).
-            self._manifests: _ManifestIndex | None = None
-            self._own_entries: dict[str, dict] = {}
+            self._manifests = _ManifestIndex(self.cache_dir, scan=False)
         elif shared_index:
             self._manifests = self._shared_index(self.cache_dir)
-            self._own_entries = {}
         else:
             self._manifests = _ManifestIndex(self.cache_dir)
-            self._own_entries = {}
-        self._manifest_handle = None
+        self._pack_file = _AppendFile(self.cache_dir, "pack-", ".bin")
+        self._manifest_file = _AppendFile(self.cache_dir, "manifest-", ".jsonl")
+        self._readers: dict[str, int] = {}
         self._lock = threading.Lock()
         self._closed = False
 
@@ -611,76 +707,72 @@ class CachingTransport:
                 index = cls._SHARED_INDEXES[key] = _ManifestIndex(cache_dir)
             return index
 
-    # -- manifest persistence ----------------------------------------------------
-
-    def _lookup(self, key: str) -> dict | None:
-        if self._manifests is None:
-            return self._own_entries.get(key)
-        return self._manifests.get(key)
+    # -- persistence -------------------------------------------------------------
 
     def _lookup_rescan(self, key: str) -> dict | None:
         """Second-chance lookup: rescan the directory before a real miss."""
-        if self._manifests is None:
+        if self.refresh:
             return None
         if self.metrics is not None:
             self.metrics.add("cache_rescans")
         return self._manifests.refresh_and_get(key)
 
-    def _remember(self, key: str, entry: dict) -> None:
-        if self._manifests is None:
-            self._own_entries[key] = entry
-        else:
-            self._manifests.put(key, entry)
+    def _known_extent(self, body_sha: str) -> dict | None:
+        """The extent of a body the directory already holds whole, if any."""
+        known = self._manifests.body(body_sha)
+        if known is None:
+            return None
+        try:
+            extent = {"pack": known["pack"], "offset": known["offset"],
+                      "length": known["length"]}
+            size = os.stat(self.cache_dir / extent["pack"]).st_size
+            whole = size >= extent["offset"] + extent["length"]
+        except (KeyError, TypeError, OSError):
+            return None
+        return extent if whole else None
 
-    def _append_manifest(self, entry: dict) -> None:
+    def _persist(self, entry: dict, data: bytes) -> None:
+        """Give ``entry`` an extent holding ``data``, append and index it.
+
+        The body is flushed (and under ``fsync="entry"`` fsynced) to the
+        pack before the manifest line that points at it is written.
+        """
+        extent = self._known_extent(entry["body_sha"])
+        fsync = self.fsync == "entry"
         with self._lock:
             if self._closed:
                 return
-            if self._manifest_handle is None:
-                descriptor, _name = tempfile.mkstemp(
-                    dir=self.cache_dir, prefix="manifest-", suffix=".jsonl")
-                self._manifest_handle = os.fdopen(descriptor, "w", encoding="utf-8")
-            self._manifest_handle.write(json.dumps(entry, ensure_ascii=False))
-            self._manifest_handle.write("\n")
-            self._manifest_handle.flush()
-            if self.fsync == "entry":
-                os.fsync(self._manifest_handle.fileno())
+            if extent is None:
+                offset = self._pack_file.append(data, fsync=fsync)
+                extent = {"pack": self._pack_file.name, "offset": offset,
+                          "length": len(data)}
+            entry.update(extent)
+            line = json.dumps(entry, ensure_ascii=False) + "\n"
+            self._manifest_file.append(line.encode("utf-8"), fsync=fsync)
+            self._manifests.put(entry["key"], entry, self._manifest_file)
 
     def close(self) -> None:
+        """Fsync the pack, then the manifest; close every descriptor."""
         with self._lock:
             self._closed = True
-            if self._manifest_handle is not None:
-                self._manifest_handle.flush()
-                os.fsync(self._manifest_handle.fileno())
-                self._manifest_handle.close()
-                self._manifest_handle = None
-
-    # -- the body store ----------------------------------------------------------
-
-    def _body_path(self, body_sha: str) -> Path:
-        return self._objects / body_sha[:2] / body_sha
-
-    def _store_body(self, body: str) -> str:
-        data = body.encode("utf-8")
-        body_sha = hashlib.sha256(data).hexdigest()
-        path = self._body_path(body_sha)
-        if not path.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            descriptor, partial = tempfile.mkstemp(dir=path.parent,
-                                                   prefix=f".{body_sha[:8]}.",
-                                                   suffix=".partial")
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(data)
-            os.replace(partial, path)
-        return body_sha
+            self._pack_file.close()
+            self._manifest_file.close()
+            for descriptor in self._readers.values():
+                os.close(descriptor)
+            self._readers.clear()
 
     # -- the transport protocol --------------------------------------------------
 
     def _response_from(self, request: Request, entry: dict) -> Response | None:
-        try:
-            body = self._body_path(entry["body_sha"]).read_text(encoding="utf-8")
-        except (OSError, KeyError):
+        with self._lock:
+            data = None if self._closed else \
+                _read_extent(self.cache_dir, entry, self._readers)
+        if data is None:
             return None  # manifest without its body: treat as a miss
+        try:
+            body = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
         return Response(url=request.url, status=entry["status"],
                         headers=Headers(entry.get("headers", {})),
                         body=body, elapsed_ms=entry.get("elapsed_ms", 0.0),
@@ -688,7 +780,7 @@ class CachingTransport:
 
     async def send(self, request: Request) -> Response:
         key = _cache_key(request)
-        entry = self._lookup(key)
+        entry = self._manifests.get(key)
         if entry is None:
             # Another writer — another window's transport, or another
             # *process* sharing the cache directory — may have appended a
@@ -707,14 +799,18 @@ class CachingTransport:
             self.metrics.add("cache_misses")
         response = await self.inner.send(request)
         if response.status not in RETRYABLE_STATUS_CODES:
-            body_sha = self._store_body(response.body)
-            entry = {"key": key, "url": str(request.url),
-                     "status": response.status,
-                     "headers": response.headers.as_dict(),
-                     "body_sha": body_sha, "elapsed_ms": response.elapsed_ms,
-                     "served_variant": response.served_variant}
-            self._append_manifest(entry)
-            self._remember(key, entry)
+            data = response.body.encode("utf-8")
+            stored = {"key": key, "url": str(request.url),
+                      "status": response.status,
+                      "headers": response.headers.as_dict(),
+                      "body_sha": hashlib.sha256(data).hexdigest(),
+                      "elapsed_ms": response.elapsed_ms,
+                      "served_variant": response.served_variant}
+            if entry is not None:
+                # Outrank the unreadable entry in whatever order the
+                # manifests load.
+                stored["gen"] = entry.get("gen", 0) + 1
+            self._persist(stored, data)
             if self.metrics is not None:
                 self.metrics.add("cache_stores")
         return response
@@ -733,46 +829,105 @@ class CacheCompactionStats:
 
     manifests_folded: int = 0
     entries: int = 0
-    orphan_bodies_removed: int = 0
+    entries_dropped: int = 0
+    files_removed: int = 0
     bytes_reclaimed: int = 0
 
     def summary_lines(self) -> list[str]:
         return [f"folded {self.manifests_folded} manifests into 1 "
-                f"({self.entries} entries)",
-                f"swept {self.orphan_bodies_removed} orphaned bodies "
+                f"({self.entries} entries, {self.entries_dropped} unreadable dropped)",
+                f"swept {self.files_removed} body files "
                 f"({self.bytes_reclaimed} bytes reclaimed)"]
+
+
+def _body_store_files(cache_dir: Path) -> list[Path]:
+    """Packs, compaction temps and any legacy ``objects/`` files."""
+    return [path for pattern in ("pack-*.bin", ".compact-*.partial", "objects/**/*")
+            for path in sorted(cache_dir.glob(pattern)) if path.is_file()]
+
+
+def _repack(cache_dir: Path, entries: dict[str, dict]) -> tuple[dict[str, dict], str | None]:
+    """Copy every body ``entries`` reference into one new pack.
+
+    Returns the entries re-pointed into it and its name (``None`` when no
+    body was readable).  Entries whose body does not read whole or does not
+    match its ``body_sha`` are dropped: they could only ever be misses.
+    The pack is written to a temp file, fsynced and renamed after the hash
+    of its bytes, so a second pass over a compacted cache rewrites the same
+    file with the same bytes.
+    """
+    descriptor, partial = tempfile.mkstemp(dir=cache_dir, prefix=".compact-",
+                                           suffix=".partial")
+    digest = hashlib.sha256()
+    extents: dict[str, tuple[int, int]] = {}
+    kept: dict[str, dict] = {}
+    readers: dict[str, int] = {}
+    try:
+        with os.fdopen(descriptor, "wb") as handle:
+            for key in sorted(entries):
+                entry = entries[key]
+                body_sha = entry.get("body_sha")
+                if body_sha not in extents:
+                    data = _read_extent(cache_dir, entry, readers)
+                    if data is None or hashlib.sha256(data).hexdigest() != body_sha:
+                        continue
+                    extents[body_sha] = (handle.tell(), len(data))
+                    handle.write(data)
+                    digest.update(data)
+                offset, length = extents[body_sha]
+                kept[key] = {**entry, "offset": offset, "length": length}
+            handle.flush()
+            os.fsync(handle.fileno())
+    finally:
+        for reader in readers.values():
+            os.close(reader)
+    if not extents:
+        os.unlink(partial)
+        return kept, None
+    pack = f"pack-{digest.hexdigest()[:32]}.bin"
+    os.replace(partial, cache_dir / pack)
+    for entry in kept.values():
+        entry["pack"] = pack
+    return kept, pack
 
 
 def compact_cache(cache_dir: str | Path, *,
                   sweep_orphans: bool = True) -> CacheCompactionStats:
-    """Fold every per-writer manifest into one; optionally sweep orphans.
+    """Fold every per-writer manifest into one; optionally repack the bodies.
 
-    A long-lived or distributed crawl leaves one ``manifest-*.jsonl`` per
-    writer (every transport stack of every window of every worker process),
-    so the load path re-parses an ever-growing file set.  Compaction merges
-    them — same last-file-wins semantics as loading — into a single
-    deterministic (key-sorted) manifest written with the temp-file +
-    ``os.replace`` + fsync pattern, then deletes the originals; a crash in
-    between leaves duplicates that load idempotently.
+    A long-lived or distributed crawl leaves one ``manifest-*.jsonl`` and
+    one ``pack-*.bin`` per writer (every transport stack of every window of
+    every worker process), so the load path re-parses an ever-growing file
+    set.  Compaction merges the manifests — same last-file-wins semantics
+    as loading — into a single deterministic (key-sorted) manifest written
+    with the temp-file + ``os.replace`` + fsync pattern, then deletes the
+    originals; a crash in between leaves duplicates that load idempotently.
 
-    With ``sweep_orphans`` the content-addressed body store is swept too:
-    any body (or abandoned ``.partial`` temp) not referenced by the merged
-    index is deleted.  Orphans are what a crash between a body store and
-    its manifest fsync leaves behind — persisted payloads no manifest line
-    claims, which warm re-runs would silently re-fetch forever.
+    With ``sweep_orphans`` the bodies are repacked too: every body the
+    merged index references is copied into one new pack (temp file, fsync,
+    ``os.replace``) before the compacted manifest points at it, and only
+    then are the other packs, compaction temps and any legacy ``objects/``
+    tree deleted.  That reclaims the orphans — pack bytes no manifest line
+    claims, which a crash between a body append and its manifest fsync
+    leaves behind — and entries whose body is unreadable are dropped.
 
     This is an *offline* maintenance operation: run it when no writer is
     actively storing into the directory, or a just-stored body whose
     manifest line is still in flight could be swept as an orphan.
     """
     cache_dir = Path(cache_dir)
-    index = _ManifestIndex(cache_dir)
-    entries = index.snapshot()
+    entries = _ManifestIndex(cache_dir).snapshot()
     target = cache_dir / COMPACTED_MANIFEST
     originals = [path for path in sorted(cache_dir.glob("manifest-*.jsonl"))
                  if path != target]
-    stats = CacheCompactionStats(manifests_folded=len(originals) + int(target.exists()),
-                                 entries=len(entries))
+    stats = CacheCompactionStats(manifests_folded=len(originals) + int(target.exists()))
+    if sweep_orphans:
+        swept = _body_store_files(cache_dir)
+        stored_bytes = sum(path.stat().st_size for path in swept)
+        kept, pack = _repack(cache_dir, entries)
+        stats.entries_dropped = len(entries) - len(kept)
+        entries = kept
+    stats.entries = len(entries)
     descriptor, partial = tempfile.mkstemp(dir=cache_dir, prefix=".compact-",
                                            suffix=".partial")
     with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
@@ -785,19 +940,16 @@ def compact_cache(cache_dir: str | Path, *,
     for path in originals:
         path.unlink(missing_ok=True)
     if sweep_orphans:
-        referenced = {entry.get("body_sha") for entry in entries.values()}
-        objects = cache_dir / "objects"
-        if objects.is_dir():
-            for path in sorted(objects.glob("*/*")):
-                if not path.is_file() or path.name in referenced:
-                    continue
-                try:
-                    size = path.stat().st_size
-                    path.unlink()
-                except OSError:
-                    continue
-                stats.orphan_bodies_removed += 1
-                stats.bytes_reclaimed += size
+        for path in swept:
+            if path.name != pack:
+                path.unlink(missing_ok=True)
+                stats.files_removed += 1
+        shutil.rmtree(cache_dir / "objects", ignore_errors=True)
+        stats.bytes_reclaimed = stored_bytes - sum(
+            path.stat().st_size for path in _body_store_files(cache_dir))
+    # Transports of this process must not serve the deleted locations.
+    with CachingTransport._SHARED_LOCK:
+        CachingTransport._SHARED_INDEXES.pop(cache_dir.resolve(), None)
     return stats
 
 

@@ -20,7 +20,8 @@ the re-evaluated result is byte-identical (window purity), keeping
 duplicate completions harmless.
 
 Workers force ``cache_fsync="entry"``: a window result must not claim
-fetches whose manifest lines a crash could still lose.
+fetches whose manifest lines, or the pack bytes those lines point at, a
+crash could still lose.
 """
 
 from __future__ import annotations

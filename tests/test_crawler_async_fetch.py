@@ -246,7 +246,7 @@ class TestPerHostRngSplitting:
 
 
 class TestBatchedCrawl:
-    def test_fetch_batch_orders_and_advances_clock(self, web) -> None:
+    def test_fetch_batch_keeps_input_order(self, web) -> None:
         session = _session(web)
         domains = list(web.domains())[:5]
         responses = asyncio.run(gather_bounded(
@@ -254,8 +254,6 @@ class TestBatchedCrawl:
             max_in_flight=3))
         # Responses come back in input order (redirects may rewrite the path).
         assert [r.url.host for r in responses] == domains
-        assert session.clock.now == pytest.approx(
-            sum(r.elapsed_ms for r in responses) / 1000.0)
 
     def test_crawl_batch_matches_sequential_crawl(self, web, sites) -> None:
         table = build_crux_table(sites)

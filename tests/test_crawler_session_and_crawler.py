@@ -10,7 +10,7 @@ import pytest
 from repro.crawler.crawler import CrawlerConfig, LangCruxCrawler
 from repro.crawler.fetcher import Fetcher, SimulatedTransport, gather_bounded
 from repro.crawler.http import Headers, Request, Response
-from repro.crawler.session import CrawlSession, VirtualClock
+from repro.crawler.session import CrawlSession
 from repro.crawler.vpn import VantagePoint, VPNManager
 from repro.webgen.crux import CruxEntry, build_crux_table
 from repro.webgen.profiles import get_profile
@@ -55,26 +55,7 @@ def _links(*hrefs: str) -> str:
     return "".join(f'<a href="{href}">{href}</a>' for href in hrefs)
 
 
-class TestVirtualClock:
-    def test_advance(self) -> None:
-        clock = VirtualClock()
-        assert clock() == 0.0
-        clock.advance(1.5)
-        assert clock.now == 1.5
-
-    def test_negative_advance_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            VirtualClock().advance(-1)
-
-
 class TestCrawlSession:
-    def test_fetch_advances_clock(self, web, sites) -> None:
-        session = _session(web)
-        target = next(site for site in sites if not site.blocks_vpn)
-        before = session.clock.now
-        asyncio.run(session.fetch(f"https://{target.domain}/"))
-        assert session.clock.now > before
-
     def test_robots_allowed_by_default(self, web, sites) -> None:
         session = _session(web)
         # The synthetic origins serve no robots.txt (404), which allows all.

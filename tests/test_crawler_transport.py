@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import hashlib
 import json
+import os
 import pickle
 import shutil
 import threading
@@ -351,17 +353,115 @@ class TestCachingTransport:
         reader.close()
 
     def test_missing_body_object_degrades_to_miss(self, tmp_path) -> None:
+        # A deleted pack and a pack truncated short of the body's extent are
+        # both misses: the body is re-fetched, never a crash, and stored
+        # whole again so the next reader hits.
+        for damage in ("delete", "truncate"):
+            cache = tmp_path / damage
+            writer = CachingTransport(ScriptedTransport(), cache)
+            _send(writer, _request("one.example"))
+            writer.close()
+            pack = next(cache.glob("pack-*.bin"))
+            if damage == "delete":
+                pack.unlink()
+            else:
+                os.truncate(pack, pack.stat().st_size - 1)
+            reader_inner = ScriptedTransport()
+            reader = CachingTransport(reader_inner, cache, shared_index=False)
+            assert _send(reader, _request("one.example")).status == 200
+            reader.close()
+            assert len(reader_inner.sent) == 1  # re-fetched, not crashed
+            again_inner = ScriptedTransport()
+            again = CachingTransport(again_inner, cache, shared_index=False)
+            assert _send(again, _request("one.example")).body == \
+                "body of https://one.example/"
+            again.close()
+            assert again_inner.sent == []
+
+    def test_extent_past_the_pack_end_is_a_miss(self, tmp_path) -> None:
         writer = CachingTransport(ScriptedTransport(), tmp_path)
         _send(writer, _request("one.example"))
         writer.close()
-        for body_file in (tmp_path / "objects").rglob("*"):
-            if body_file.is_file():
-                body_file.unlink()
+        manifest = next(tmp_path.glob("manifest-*.jsonl"))
+        entry = json.loads(manifest.read_text(encoding="utf-8"))
+        entry["offset"] = next(tmp_path.glob("pack-*.bin")).stat().st_size - 1
+        manifest.write_text(json.dumps(entry) + "\n", encoding="utf-8")
         reader_inner = ScriptedTransport()
         reader = CachingTransport(reader_inner, tmp_path, shared_index=False)
-        assert _send(reader, _request("one.example")).status == 200
+        assert _send(reader, _request("one.example")).body == \
+            "body of https://one.example/"
         reader.close()
-        assert len(reader_inner.sent) == 1  # re-fetched, not crashed
+        assert len(reader_inner.sent) == 1
+
+    def test_identical_bodies_share_one_extent(self, tmp_path) -> None:
+        # robots.txt bodies repeat across origins: the second writer's line
+        # points at the first writer's extent and it creates no pack.
+        def same_body(domain: str) -> ScriptedTransport:
+            url = f"https://{domain}/robots.txt"
+            return ScriptedTransport({url: [Response(url=URL.parse(url), status=200,
+                                                     body="User-agent: *\n")]})
+
+        first = CachingTransport(same_body("one.example"), tmp_path)
+        _send(first, _request("one.example", "/robots.txt"))
+        second = CachingTransport(same_body("two.example"), tmp_path)
+        _send(second, _request("two.example", "/robots.txt"))
+        first.close()
+        second.close()
+        entries = [json.loads(line) for manifest in tmp_path.glob("manifest-*.jsonl")
+                   for line in manifest.read_text(encoding="utf-8").splitlines()]
+        extents = {(entry["pack"], entry["offset"], entry["length"]) for entry in entries}
+        assert len(entries) == 2 and len(extents) == 1
+        pack = next(tmp_path.glob("pack-*.bin"))
+        assert len(list(tmp_path.glob("pack-*.bin"))) == 1
+        assert pack.read_bytes() == b"User-agent: *\n"
+        reader_inner = ScriptedTransport()
+        reader = CachingTransport(reader_inner, tmp_path, shared_index=False)
+        for domain in ("one.example", "two.example"):
+            assert _send(reader, _request(domain, "/robots.txt")).body == "User-agent: *\n"
+        reader.close()
+        assert reader_inner.sent == []
+
+    def test_entry_fsync_syncs_the_pack_before_the_manifest(self, tmp_path,
+                                                           monkeypatch) -> None:
+        synced: list[int] = []  # inodes, in fsync order
+        real_fsync = os.fsync
+
+        def recording_fsync(descriptor: int) -> None:
+            synced.append(os.fstat(descriptor).st_ino)
+            real_fsync(descriptor)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        caching = CachingTransport(ScriptedTransport(), tmp_path, fsync="entry",
+                                   shared_index=False)
+        _send(caching, _request("one.example"))
+        _send(caching, _request("two.example"))
+        caching.close()
+        pack = next(tmp_path.glob("pack-*.bin")).stat().st_ino
+        manifest = next(tmp_path.glob("manifest-*.jsonl")).stat().st_ino
+        assert synced == [pack, manifest] * 3  # two stores, then close
+
+    def test_legacy_objects_entry_is_a_miss(self, tmp_path) -> None:
+        # A cache of the body-per-file layout: the entry has no extent.  Its
+        # manifest sorts after any new one, yet the re-fetched entry wins.
+        from repro.crawler.transport import _cache_key
+
+        request = _request("one.example")
+        body = b"legacy body"
+        body_sha = hashlib.sha256(body).hexdigest()
+        legacy = tmp_path / "objects" / body_sha[:2] / body_sha
+        legacy.parent.mkdir(parents=True)
+        legacy.write_bytes(body)
+        entry = {"key": _cache_key(request), "url": str(request.url), "status": 200,
+                 "headers": {}, "body_sha": body_sha, "elapsed_ms": 1.0,
+                 "served_variant": None}
+        (tmp_path / "manifest-~legacy.jsonl").write_text(json.dumps(entry) + "\n",
+                                                         encoding="utf-8")
+        for sends in (1, 0):
+            reader_inner = ScriptedTransport()
+            reader = CachingTransport(reader_inner, tmp_path, shared_index=False)
+            assert _send(reader, request).body == "body of https://one.example/"
+            reader.close()
+            assert len(reader_inner.sent) == sends
 
     def test_concurrent_writers_share_one_directory(self, tmp_path) -> None:
         first = CachingTransport(ScriptedTransport(), tmp_path)
@@ -455,41 +555,82 @@ class TestCachingTransport:
     def test_compact_cache_folds_manifests_and_sweeps_orphans(self, tmp_path) -> None:
         from repro.crawler.transport import COMPACTED_MANIFEST, compact_cache
 
-        for domain in ("one.example", "two.example", "three.example"):
+        domains = ("one.example", "two.example", "three.example")
+        for domain in domains:
             writer = CachingTransport(ScriptedTransport(), tmp_path,
                                       shared_index=False)
             _send(writer, _request(domain))
             writer.close()
         assert len(list(tmp_path.glob("manifest-*.jsonl"))) == 3
-        # An orphaned body: persisted content no manifest line references —
-        # what a crash between body store and manifest fsync leaves behind.
-        orphan_dir = tmp_path / "objects" / "ff"
-        orphan_dir.mkdir(parents=True, exist_ok=True)
-        orphan = orphan_dir / ("ff" + "0" * 62)
-        orphan.write_text("orphaned body", encoding="utf-8")
+        # Orphans: pack bytes no manifest line references — what a crash
+        # between a body append and its manifest append leaves behind — and
+        # a body file of the old objects/ layout.
+        with sorted(tmp_path.glob("pack-*.bin"))[0].open("ab") as handle:
+            handle.write(b"orphaned body")
+        legacy = tmp_path / "objects" / "ff" / ("ff" + "0" * 62)
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text("legacy body", encoding="utf-8")
+        # A shared index loaded before compaction must not outlive it.
+        CachingTransport(ScriptedTransport(), tmp_path).close()
 
         stats = compact_cache(tmp_path)
         assert stats.manifests_folded == 3
         assert stats.entries == 3
-        assert stats.orphan_bodies_removed == 1
-        assert stats.bytes_reclaimed == len("orphaned body")
-        assert not orphan.exists()
+        assert stats.entries_dropped == 0
+        assert stats.files_removed == 4  # three writer packs, one legacy body
+        assert stats.bytes_reclaimed == len("orphaned body") + len("legacy body")
+        assert not (tmp_path / "objects").exists()
         manifests = list(tmp_path.glob("manifest-*.jsonl"))
         assert [path.name for path in manifests] == [COMPACTED_MANIFEST]
+        packs = list(tmp_path.glob("pack-*.bin"))
+        assert len(packs) == 1
+        assert packs[0].stat().st_size == \
+            sum(len(f"body of https://{domain}/") for domain in domains)
 
-        # The compacted cache still serves every entry, from disk.
-        reader_inner = ScriptedTransport()
-        reader = CachingTransport(reader_inner, tmp_path, shared_index=False)
-        for domain in ("one.example", "two.example", "three.example"):
-            assert _send(reader, _request(domain)).status == 200
-        reader.close()
-        assert reader_inner.sent == []
+        # The compacted cache still serves every entry, from disk, through
+        # a fresh index and through the process's shared one.
+        for shared_index in (False, True):
+            reader_inner = ScriptedTransport()
+            reader = CachingTransport(reader_inner, tmp_path,
+                                      shared_index=shared_index)
+            for domain in domains:
+                assert _send(reader, _request(domain)).body == \
+                    f"body of https://{domain}/"
+            reader.close()
+            assert reader_inner.sent == []
 
         # Compaction is idempotent (and keeps serving after a second pass).
         again = compact_cache(tmp_path)
         assert again.manifests_folded == 1
         assert again.entries == 3
-        assert again.orphan_bodies_removed == 0
+        assert again.files_removed == 0
+        assert again.bytes_reclaimed == 0
+        assert list(tmp_path.glob("pack-*.bin")) == packs
+        reader_inner = ScriptedTransport()
+        reader = CachingTransport(reader_inner, tmp_path)
+        for domain in domains:
+            assert _send(reader, _request(domain)).status == 200
+        reader.close()
+        assert reader_inner.sent == []
+
+    def test_compaction_drops_entries_whose_body_is_unreadable(self, tmp_path) -> None:
+        from repro.crawler.transport import compact_cache
+
+        writer = CachingTransport(ScriptedTransport(), tmp_path, shared_index=False)
+        _send(writer, _request("one.example"))
+        _send(writer, _request("two.example"))
+        writer.close()
+        pack = next(tmp_path.glob("pack-*.bin"))
+        os.truncate(pack, len("body of https://one.example/"))
+        stats = compact_cache(tmp_path)
+        assert (stats.entries, stats.entries_dropped) == (1, 1)
+        reader_inner = ScriptedTransport()
+        reader = CachingTransport(reader_inner, tmp_path, shared_index=False)
+        _send(reader, _request("one.example"))
+        _send(reader, _request("two.example"))
+        reader.close()
+        assert [str(request.url) for request in reader_inner.sent] == \
+            ["https://two.example/"]
 
 
 class TestSharedIndexEviction:
